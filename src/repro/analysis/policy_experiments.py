@@ -17,9 +17,10 @@ import numpy as np
 
 from ..core.metrics import mpki
 from ..core.signature import signature
+from ..core.slowdown import SlowdownPredictor
 from ..policies import (TieringContext, compare_policies, fig15_policies,
-                        mixed_colocation, predicted_pair_slowdowns,
-                        schedule_by_camp, schedule_by_mpki)
+                        mixed_colocation, schedule_by_camp,
+                        schedule_by_mpki)
 from ..policies.colocation import ColocationOutcome, MixedColocationOutcome
 from ..uarch.interleave import Placement
 from ..uarch.machine import slowdown
@@ -115,24 +116,27 @@ def fig16a_colocation_prediction(tier: str = "cxl-a",
     lab = lab or bandwidth_lab()
     machine = lab.machine_for_tier(tier)
     calibration = lab.calibration(tier)
+    predictor = SlowdownPredictor(calibration)
 
     rows: List[ColocationPredictionRow] = []
     for pair in colocation_pairs():
-        forecasts = predicted_pair_slowdowns(machine, pair, tier,
-                                             calibration)
-        mpki_values = {}
+        # One DRAM-only run per workload is its CAMP profile, its MPKI
+        # profile and its solo baseline.
+        solo = {workload.name: machine.run(workload, Placement.dram_only())
+                for workload in pair}
+        forecasts = {name: predictor.predict(run.profiled()).total
+                     for name, run in solo.items()}
+        mpki_values = {name: mpki(signature(run.profiled()))
+                       for name, run in solo.items()}
         actuals = {}
-        for workload in pair:
-            profile = machine.profile(workload, Placement.dram_only())
-            mpki_values[workload.name] = mpki(signature(profile))
         # Actual colocated slowdown of each partner when *it* is the
         # one on the slow tier (the other holds DRAM).
         for victim, partner in (pair, tuple(reversed(pair))):
             jobs = [(partner, Placement.dram_only()),
                     (victim, Placement.slow_only(tier))]
             results = machine.run_colocated(jobs)
-            solo = machine.run(victim, Placement.dram_only())
-            actuals[victim.name] = results[1].cycles / solo.cycles - 1.0
+            actuals[victim.name] = (results[1].cycles /
+                                    solo[victim.name].cycles - 1.0)
 
         camp_order = sorted(pair, key=lambda w: -forecasts[w.name])
         mpki_order = sorted(pair, key=lambda w: -mpki_values[w.name])

@@ -132,7 +132,7 @@ def _solve_fleet_shard(task):
             {"joint_iterations": int(stats["joint_iterations"]),
              "outer_iterations": int(stats["outer_iterations"]),
              "nonconverged": int(stats["nonconverged"]),
-             "replay_resolves": int(stats.get("replay_resolves", 0)),
+             "replay_resolves": int(stats["replay_resolves"]),
              "joint_converged": bool(stats["joint_converged"])})
 
 

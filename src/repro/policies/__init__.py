@@ -23,8 +23,7 @@ from .dynamics import (BestShotDynamics, ColloidDynamics,
                        TieringTrace, simulate_tiering)
 from .colocation import (ColocationOutcome, MixedColocationOutcome,
                          contention_amplification, mixed_colocation,
-                         predicted_pair_slowdowns, schedule_by_camp,
-                         schedule_by_mpki)
+                         schedule_by_camp, schedule_by_mpki)
 from .fleet import FleetAssignment, FleetPlan, FleetPlanner
 from .nbt import NBT
 from .soar import Soar
@@ -49,8 +48,7 @@ __all__ = [
     "compare_policies", "evaluate_policy", "BestShot", "Caption", "Alto",
     "Colloid", "ColocationOutcome", "MixedColocationOutcome",
     "contention_amplification",
-    "mixed_colocation", "predicted_pair_slowdowns", "schedule_by_camp",
-    "schedule_by_mpki", "NBT", "Soar", "FirstTouch", "Interleave11",
+    "mixed_colocation", "schedule_by_camp", "schedule_by_mpki", "NBT", "Soar", "FirstTouch", "Interleave11",
     "BestShotDynamics", "ColloidDynamics", "DynamicPolicy",
     "FirstTouchDynamics", "NBTDynamics", "TieringTrace",
     "simulate_tiering",

@@ -23,7 +23,7 @@ remaining fast memory - is implemented by :func:`mixed_colocation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.calibration import Calibration
 from ..core.interleaving import synthesize
@@ -66,34 +66,44 @@ class ColocationOutcome:
                                            self.solo_cycles))
 
 
-def _run_pair(machine: Machine, fast: WorkloadSpec, slow: WorkloadSpec,
+def _run_pair(machine: Machine, pair: Sequence[WorkloadSpec],
+              solo: Sequence[RunResult], scores: Sequence[float],
               device: str, scheduler: str) -> ColocationOutcome:
-    """Execute a pair with ``fast`` on DRAM and ``slow`` on the device."""
+    """Execute ``pair`` with the higher-scoring workload on DRAM and the
+    other on the device.
+
+    ``solo`` holds each workload's DRAM-only run, which the scheduler
+    already made to profile it; its cycles are the slowdown baseline.
+    """
+    ranked = list(zip(pair, solo))
+    if not scores[0] >= scores[1]:
+        ranked.reverse()
+    (fast, fast_solo), (slow, slow_solo) = ranked
     jobs = [(fast, Placement.dram_only()),
             (slow, Placement.slow_only(device))]
     results = machine.run_colocated(jobs)
-    solo = tuple(machine.run(w, Placement.dram_only()).cycles
-                 for w, _ in jobs)
     return ColocationOutcome(
         scheduler=scheduler,
         fast_workload=fast.name,
         slow_workload=slow.name,
         results=(results[0], results[1]),
-        solo_cycles=solo,
+        solo_cycles=(fast_solo.cycles, slow_solo.cycles),
     )
+
+
+def _dram_runs(machine: Machine, pair: Sequence[WorkloadSpec]
+               ) -> List[RunResult]:
+    return [machine.run(workload, Placement.dram_only())
+            for workload in pair]
 
 
 def schedule_by_mpki(machine: Machine, pair: Sequence[WorkloadSpec],
                      device: str) -> ColocationOutcome:
     """Conventional placement: high-MPKI workload keeps fast memory."""
-    first, second = pair
-    scores = []
-    for workload in (first, second):
-        profile = machine.profile(workload, Placement.dram_only())
-        scores.append(mpki(signature(profile)))
-    fast, slow = ((first, second) if scores[0] >= scores[1]
-                  else (second, first))
-    return _run_pair(machine, fast, slow, device, scheduler="mpki")
+    solo = _dram_runs(machine, pair)
+    scores = [mpki(signature(run.profiled())) for run in solo]
+    return _run_pair(machine, pair, solo, scores, device,
+                     scheduler="mpki")
 
 
 def schedule_by_camp(machine: Machine, pair: Sequence[WorkloadSpec],
@@ -102,27 +112,10 @@ def schedule_by_camp(machine: Machine, pair: Sequence[WorkloadSpec],
     """CAMP placement: the workload predicted to suffer more on the
     slow tier keeps fast memory."""
     predictor = SlowdownPredictor(calibration)
-    first, second = pair
-    predicted = []
-    for workload in (first, second):
-        profile = machine.profile(workload, Placement.dram_only())
-        predicted.append(predictor.predict(profile).total)
-    fast, slow = ((first, second) if predicted[0] >= predicted[1]
-                  else (second, first))
-    return _run_pair(machine, fast, slow, device, scheduler="camp")
-
-
-def predicted_pair_slowdowns(machine: Machine,
-                             pair: Sequence[WorkloadSpec], device: str,
-                             calibration: Calibration
-                             ) -> Dict[str, float]:
-    """CAMP's per-workload slow-tier slowdown forecasts (Fig. 16a)."""
-    predictor = SlowdownPredictor(calibration)
-    forecasts: Dict[str, float] = {}
-    for workload in pair:
-        profile = machine.profile(workload, Placement.dram_only())
-        forecasts[workload.name] = predictor.predict(profile).total
-    return forecasts
+    solo = _dram_runs(machine, pair)
+    scores = [predictor.predict(run.profiled()).total for run in solo]
+    return _run_pair(machine, pair, solo, scores, device,
+                     scheduler="camp")
 
 
 @dataclass(frozen=True)
@@ -195,6 +188,8 @@ def mixed_colocation(machine: Machine, bw_workload: WorkloadSpec,
     """
     bw_fp = bw_workload.footprint_gib
     lat_fp = lat_workload.footprint_gib
+    # The solo baselines, and Best-shot's DRAM profiles.
+    solo = _dram_runs(machine, (bw_workload, lat_workload))
 
     if policy == "best-shot":
         # CAMP-guided joint placement: synthesize both workloads'
@@ -206,11 +201,10 @@ def mixed_colocation(machine: Machine, bw_workload: WorkloadSpec,
         # analytics an operator can do from the same profiling data.
         from ..core.metrics import bandwidth_gbps
 
-        bw_dram = machine.profile(bw_workload, Placement.dram_only())
+        bw_dram, lat_dram = (run.profiled() for run in solo)
         bw_slow = machine.profile(bw_workload,
                                   Placement.slow_only(device))
         bw_model = synthesize(bw_dram, calibration, bw_slow)
-        lat_dram = machine.profile(lat_workload, Placement.dram_only())
         lat_model = synthesize(lat_dram, calibration,
                                machine.profile(
                                    lat_workload,
@@ -263,13 +257,11 @@ def mixed_colocation(machine: Machine, bw_workload: WorkloadSpec,
     jobs = [(bw_workload, _placement(x_bw)),
             (lat_workload, _placement(x_lat))]
     results = machine.run_colocated(jobs)
-    solo = tuple(machine.run(w, Placement.dram_only()).cycles
-                 for w, _ in jobs)
     return MixedColocationOutcome(
         policy=policy,
         fast_capacity_gib=fast_capacity_gib,
         bw_placement=jobs[0][1],
         lat_placement=jobs[1][1],
         results=(results[0], results[1]),
-        solo_cycles=solo,
+        solo_cycles=(solo[0].cycles, solo[1].cycles),
     )

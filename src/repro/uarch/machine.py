@@ -42,8 +42,8 @@ from .interleave import Placement, request_share, request_share_batch
 from .memory import (MAX_ESCALATION, DeviceLanes, TierLoad,
                      loaded_latency_ns, loaded_latency_ns_batch,
                      measure_idle_latency_ns, rfo_latency_ns,
-                     rfo_latency_ns_batch, updated_escalation,
-                     updated_escalation_batch, utilization_for_bandwidth,
+                     updated_escalation, updated_escalation_batch,
+                     utilization_for_bandwidth,
                      utilization_for_bandwidth_batch)
 from .pmu import DEFAULT_NOISE, emit_counters
 from .prefetcher import (BatchPrefetchFlow, PrefetchProfile,
@@ -325,13 +325,25 @@ def _take_lanes(struct, index: np.ndarray):
         for f in dataclasses.fields(struct)})
 
 
-def _merge_lanes(new, old, mask: np.ndarray):
-    """Lane-wise ``np.where(mask, new, old)`` over a struct-of-arrays."""
-    if old is None:
-        return new
-    return type(new)(**{
-        f.name: np.where(mask, getattr(new, f.name), getattr(old, f.name))
-        for f in dataclasses.fields(new)})
+def _zeros_like_lanes(items: tuple) -> tuple:
+    """A zero-filled twin of a tuple of arrays and struct-of-arrays."""
+    return tuple(
+        np.zeros_like(item) if isinstance(item, np.ndarray) else
+        type(item)(**{f.name: np.zeros_like(getattr(item, f.name))
+                      for f in dataclasses.fields(item)})
+        for item in items)
+
+
+def _copy_lanes(target: tuple, source: tuple, mask: np.ndarray) -> None:
+    """In place, ``target[mask] = source[mask]`` over a tuple of arrays
+    and struct-of-arrays (shaped like :func:`_zeros_like_lanes`)."""
+    for ours, theirs in zip(target, source):
+        if isinstance(ours, np.ndarray):
+            np.copyto(ours, theirs, where=mask)
+            continue
+        for f in dataclasses.fields(ours):
+            np.copyto(getattr(ours, f.name), getattr(theirs, f.name),
+                      where=mask)
 
 
 @dataclass
@@ -968,7 +980,8 @@ class Machine:
                         dram_latency_ns, slow_latency_ns,
                         dram_rfo_ns, slow_rfo_ns,
                         dram_escalation, slow_escalation,
-                        inner_tolerance: float = _INNER_TOLERANCE):
+                        inner_tolerance: float = _INNER_TOLERANCE,
+                        start_cycles: Optional[np.ndarray] = None):
         """One application of the outer map at the given state arrays.
 
         Mirrors the body of `_run`'s loop operation-for-operation;
@@ -977,6 +990,8 @@ class Machine:
         delta/scale.  ``inner_tolerance`` parameterizes the core
         accounting's convergence criterion for the float32 fast path
         (``uarch/fastpath.py``); the default is the scalar criterion.
+        ``start_cycles`` warm-starts the core accounting (accelerated
+        mode only; ``None`` is the scalar cold start).
         """
         x_req = problem.x_req
         tier_read = (x_req * dram_latency_ns +
@@ -997,7 +1012,8 @@ class Machine:
             reference_idle_ns=problem.reference_idle_ns,
         )
         breakdown = account_cycles_batch(problem.params, flow, latency_ctx,
-                                         relative_tolerance=inner_tolerance)
+                                         relative_tolerance=inner_tolerance,
+                                         start_cycles=start_cycles)
 
         runtime_s = breakdown.cycles / (
             problem.params.frequency_ghz * 1e9)
@@ -1015,24 +1031,26 @@ class Machine:
             problem.dram_lanes, dram_offered)
         new_dram_escalation = updated_escalation_batch(
             dram_escalation, problem.dram_lanes, dram_offered)
-        new_dram = loaded_latency_ns_batch(
-            problem.dram_lanes, dram_util,
-            problem.zeros) * new_dram_escalation
-        new_dram_rfo = rfo_latency_ns_batch(
-            problem.dram_lanes, dram_util,
-            problem.zeros) * new_dram_escalation
+        # One loaded latency per tier: the RFO latency is that latency
+        # times the device's RFO factor (`rfo_latency_ns`), multiplied
+        # in the scalar path's order.
+        dram_loaded = loaded_latency_ns_batch(
+            problem.dram_lanes, dram_util, problem.zeros)
+        new_dram = dram_loaded * new_dram_escalation
+        new_dram_rfo = (dram_loaded * problem.dram_lanes.rfo_latency_factor
+                        * new_dram_escalation)
 
         slow_offered = slow_gbps + problem.slow_external_gbps
         slow_util = utilization_for_bandwidth_batch(
             problem.slow_lanes, slow_offered)
         slow_escalation_all = updated_escalation_batch(
             slow_escalation, problem.slow_lanes, slow_offered)
-        new_slow_all = loaded_latency_ns_batch(
-            problem.slow_lanes, slow_util,
-            problem.tail_sensitivity) * slow_escalation_all
-        new_slow_rfo_all = rfo_latency_ns_batch(
-            problem.slow_lanes, slow_util,
-            problem.tail_sensitivity) * slow_escalation_all
+        slow_loaded = loaded_latency_ns_batch(
+            problem.slow_lanes, slow_util, problem.tail_sensitivity)
+        new_slow_all = slow_loaded * slow_escalation_all
+        new_slow_rfo_all = (slow_loaded *
+                            problem.slow_lanes.rfo_latency_factor *
+                            slow_escalation_all)
         new_slow = np.where(problem.has_slow, new_slow_all,
                             slow_latency_ns)
         new_slow_rfo = np.where(problem.has_slow, new_slow_rfo_all,
@@ -1052,7 +1070,8 @@ class Machine:
                      state: Dict[str, np.ndarray],
                      accelerate: bool,
                      outer_tolerance: float = _OUTER_TOLERANCE,
-                     inner_tolerance: float = _INNER_TOLERANCE
+                     inner_tolerance: float = _INNER_TOLERANCE,
+                     start_cycles: Optional[np.ndarray] = None
                      ) -> _BatchSolution:
         """Iterate the outer fixed point for all lanes at once.
 
@@ -1061,7 +1080,11 @@ class Machine:
         meets the scalar convergence criterion, so frozen lanes carry
         the scalar path's doubles verbatim.  Accelerated mode layers an
         Anderson(1) secant step on top of the damped map, with
-        per-lane safeguards falling back to the plain damped step.
+        per-lane safeguards falling back to the plain damped step, and
+        starts each inner cycle-accounting loop from the previous
+        evaluation's cycles (the first from ``start_cycles``, cold when
+        ``None``).  Replay mode ignores ``start_cycles``: it keeps the
+        scalar solver's cold start in every evaluation.
 
         The tolerance parameters exist for the float32 fast path
         (``uarch/fastpath.py``): the scalar criteria (the defaults) sit
@@ -1079,10 +1102,11 @@ class Machine:
         active = np.ones(count, dtype=bool)
         converged = np.zeros(count, dtype=bool)
         iterations = np.zeros(count, dtype=np.int64)
-        kept_flow: Optional[BatchPrefetchFlow] = None
-        kept_breakdown: Optional[BatchCycleBreakdown] = None
-        kept_dram_gbps = np.zeros(count)
-        kept_slow_gbps = np.zeros(count)
+        inner_start = start_cycles if accelerate else None
+        # Each lane keeps the observables (flow, breakdown, per-tier
+        # traffic) of the evaluation it converges in, copied in that
+        # iteration: exactly what the scalar loop leaves at its break.
+        kept: Optional[tuple] = None
         previous_x: Optional[np.ndarray] = None
         previous_residual: Optional[np.ndarray] = None
 
@@ -1094,18 +1118,19 @@ class Machine:
                 problem, dram_latency_ns, slow_latency_ns,
                 dram_rfo_ns, slow_rfo_ns,
                 dram_escalation, slow_escalation,
-                inner_tolerance=inner_tolerance)
+                inner_tolerance=inner_tolerance,
+                start_cycles=inner_start)
             iterations += active
-
-            # Observables retained by lanes still iterating: exactly
-            # what the scalar loop leaves behind at its break.
-            kept_flow = _merge_lanes(flow, kept_flow, active)
-            kept_breakdown = _merge_lanes(breakdown, kept_breakdown, active)
-            kept_dram_gbps = np.where(active, dram_gbps, kept_dram_gbps)
-            kept_slow_gbps = np.where(active, slow_gbps, kept_slow_gbps)
+            if accelerate:
+                inner_start = breakdown.cycles
+            observables = (flow, breakdown, dram_gbps, slow_gbps)
 
             conv_now = active & (delta <= outer_tolerance * scale)
             still_active = active & ~conv_now
+            if kept is None:
+                kept = _zeros_like_lanes(observables)
+            if conv_now.any():
+                _copy_lanes(kept, observables, conv_now)
 
             # The damped map image - the step the scalar solver takes
             # every iteration, and the step every converging lane takes
@@ -1174,7 +1199,11 @@ class Machine:
             if not bool(active.any()):
                 break
 
-        assert kept_flow is not None and kept_breakdown is not None
+        # A lane that exhausted the cap keeps the last evaluation.
+        assert kept is not None
+        if active.any():
+            _copy_lanes(kept, observables, active)
+        kept_flow, kept_breakdown, kept_dram_gbps, kept_slow_gbps = kept
         return _BatchSolution(
             dram_latency_ns=dram_latency_ns,
             slow_latency_ns=slow_latency_ns,
@@ -1368,7 +1397,7 @@ class Machine:
             if stats is not None:
                 stats.update(joint_converged=True, joint_iterations=0,
                              outer_iterations=0, nonconverged=0,
-                             groups=0)
+                             groups=0, replay_resolves=0)
             return []
         with maybe_span("machine.run_colocated", jobs=len(jobs),
                         groups=len(groups),
@@ -1435,10 +1464,13 @@ class Machine:
 
             if solution is None:
                 state = self._initial_state(problem)
+                start_cycles = None
             else:
                 state = {name: getattr(solution, name).copy()
                          for name in state_names}
-            solution = self._solve_batch(problem, state, accelerate=True)
+                start_cycles = solution.breakdown.cycles
+            solution = self._solve_batch(problem, state, accelerate=True,
+                                         start_cycles=start_cycles)
             if not bool(solution.converged.all()):
                 index = np.flatnonzero(~solution.converged)
                 replay_resolves += int(index.size)
@@ -1483,7 +1515,7 @@ class Machine:
         merged: Dict[str, object] = {
             "joint_converged": True, "joint_iterations": 0,
             "outer_iterations": 0, "nonconverged": 0,
-            "groups": len(groups),
+            "groups": len(groups), "replay_resolves": 0,
         }
         for group in groups:
             subset = [jobs[index] for index in group]
@@ -1497,12 +1529,9 @@ class Machine:
             merged["joint_iterations"] = max(
                 int(merged["joint_iterations"]),
                 int(sub_stats["joint_iterations"]))
-            merged["outer_iterations"] = (
-                int(merged["outer_iterations"]) +
-                int(sub_stats["outer_iterations"]))
-            merged["nonconverged"] = (
-                int(merged["nonconverged"]) +
-                int(sub_stats["nonconverged"]))
+            for key in ("outer_iterations", "nonconverged",
+                        "replay_resolves"):
+                merged[key] = int(merged[key]) + int(sub_stats[key])
         return results, merged
 
     def _run_colocated(self, jobs, max_iterations, tolerance):
@@ -1512,6 +1541,7 @@ class Machine:
         joint_converged = False
         joint_iterations = 0
         total_outer = 0
+        replay_resolves = 0
         for _ in range(max_iterations):
             joint_iterations += 1
             externals: List[Dict[str, float]] = []
@@ -1528,7 +1558,8 @@ class Machine:
             results = self.run_batch(
                 jobs, external_traffic=externals, accelerate=True,
                 warm_cache=warm_cache, stats=solve_stats)
-            total_outer += int(solve_stats.get("outer_iterations", 0))
+            total_outer += int(solve_stats["outer_iterations"])
+            replay_resolves += int(solve_stats["replay_resolves"])
 
             new_traffic: List[Dict[str, float]] = []
             for (workload, placement), result in zip(jobs, results):
@@ -1563,5 +1594,6 @@ class Machine:
             "joint_iterations": joint_iterations,
             "outer_iterations": total_outer,
             "nonconverged": sum(1 for r in results if not r.converged),
+            "replay_resolves": replay_resolves,
         }
         return results, joint_stats

@@ -215,13 +215,6 @@ def loaded_latency_ns_batch(lanes: DeviceLanes, utilization: np.ndarray,
     return base * (1.0 + linear + queue) * (1.0 + tail)
 
 
-def rfo_latency_ns_batch(lanes: DeviceLanes, utilization: np.ndarray,
-                         tail_sensitivity: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`rfo_latency_ns`."""
-    return loaded_latency_ns_batch(
-        lanes, utilization, tail_sensitivity) * lanes.rfo_latency_factor
-
-
 def utilization_for_bandwidth_batch(lanes: DeviceLanes,
                                     bandwidth_gbps: np.ndarray) -> np.ndarray:
     """Vectorized :func:`utilization_for_bandwidth`."""

@@ -9,6 +9,8 @@ outer iterations.  The executor's serial batch path must preserve the
 runtime's byte-identity guarantee on top of that.
 """
 
+import random
+
 import pytest
 
 import repro.uarch.machine as machine_mod
@@ -18,7 +20,9 @@ from repro.runtime.store import ResultStore
 from repro.uarch import EMR2S, Machine, Placement, SKX2S, SPR2S
 from repro.uarch.machine import (ACCELERATED_RELATIVE_TOLERANCE,
                                  WarmStartCache)
+from repro.uarch.memory import set_latency_fault_hook
 from repro.workloads import get_workload
+from repro.workloads.suites import evaluation_suite
 
 #: A spread of memory behaviors: latency-bound, compute-leaning,
 #: bandwidth-hungry, store-heavy, and an ML inference profile.
@@ -386,7 +390,101 @@ class TestRunBatchMulti:
                                     warm_cache=WarmStartCache())
 
 
+class TestAcceleratedPopulation:
+    """The accelerated contract over the whole evaluation population."""
+
+    PLACEMENTS = (Placement.dram_only(), Placement.slow_only("cxl-a"),
+                  Placement.interleaved(0.5, "cxl-a"),
+                  Placement.interleaved(0.25, "cxl-b"))
+    FIELDS = ("cycles", "runtime_s", "observed_read_ns", "tier_read_ns",
+              "rfo_ns", "dram_latency_ns", "slow_latency_ns",
+              "dram_gbps", "slow_gbps")
+
+    def test_within_tolerance_on_every_lane(self):
+        specs = [RunSpec.from_machine(Machine(platform), workload,
+                                      placement)
+                 for platform in (SKX2S, SPR2S, EMR2S)
+                 for workload in evaluation_suite(2026)
+                 for placement in self.PLACEMENTS]
+        assert len(specs) == 265 * 4 * 3
+        stats = {}
+        accelerated = Machine.run_batch_multi(specs, accelerate=True,
+                                              stats=stats)
+        replay = Machine.run_batch_multi(specs)
+        assert stats["nonconverged"] == 0
+        worst = 0.0
+        for got, want in zip(accelerated, replay):
+            for name in self.FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                if b is None:
+                    assert a is None
+                elif b != 0.0:
+                    worst = max(worst, relative_error(a, b))
+                else:
+                    assert abs(a) <= ACCELERATED_RELATIVE_TOLERANCE
+        assert worst <= ACCELERATED_RELATIVE_TOLERANCE
+
+
+def seeded_pairs(count):
+    """``count`` seeded (DRAM, cxl-a slow-only) colocation pairs."""
+    population = list(evaluation_suite(2026))
+    rng = random.Random(2026)
+    return [[(first, Placement.dram_only()),
+             (second, Placement.slow_only("cxl-a"))]
+            for first, second in (rng.sample(population, 2)
+                                  for _ in range(count))]
+
+
 class TestRunColocated:
+    def test_joint_answer_is_each_jobs_fixed_point(self, skx_machine):
+        # At the joint fixed point, re-solving a job alone under its
+        # partner's final traffic gives back the job's cycles.
+        for jobs in seeded_pairs(16):
+            stats = {}
+            results = skx_machine.run_colocated(jobs, stats=stats)
+            assert stats["joint_converged"] is True
+            for index, result in enumerate(results):
+                partner = results[1 - index]
+                external = {"dram": partner.dram_gbps}
+                if partner.placement.device is not None:
+                    external[partner.placement.device] = partner.slow_gbps
+                alone = skx_machine.run(result.workload, result.placement,
+                                        external_traffic=external)
+                assert relative_error(result.cycles,
+                                      alone.cycles) <= 1e-6
+
+    @staticmethod
+    def pinned_jobs(case):
+        bwaves10 = get_workload("603.bwaves").with_threads(10)
+        mcf, xsbench = get_workload("605.mcf"), get_workload("xsbench")
+        return {
+            "saturated": [(bwaves10, Placement.interleaved(0.3, "cxl-a")),
+                          (mcf, Placement.interleaved(0.3, "cxl-a"))],
+            "dram-slow": [(mcf, Placement.dram_only()),
+                          (xsbench, Placement.slow_only("cxl-a"))],
+            "interleaved": [(mcf, Placement.interleaved(0.6, "cxl-a")),
+                            (xsbench, Placement.interleaved(0.4, "cxl-a"))],
+        }[case]
+
+    #: The saturated pair's cycles under the pinned joint scheme.
+    SATURATED_CYCLES = (2492872167.7182593, 21346796388.004307)
+
+    @pytest.mark.parametrize("case,iterations", [
+        ("saturated", 49), ("dram-slow", 34), ("interleaved", 34)])
+    def test_joint_scheme_is_pinned(self, skx_machine, case, iterations):
+        # A change to the damped joint traffic update must update these
+        # on purpose: on a saturated shared device each job carries its
+        # own escalation, so the joint answer depends on the iteration
+        # path (docs/SOLVER.md, "Grouped colocation solves").
+        stats = {}
+        results = skx_machine.run_colocated(self.pinned_jobs(case),
+                                            stats=stats)
+        assert stats["joint_iterations"] == iterations
+        assert stats["joint_converged"] is True
+        if case == "saturated":
+            for result, cycles in zip(results, self.SATURATED_CYCLES):
+                assert relative_error(result.cycles, cycles) <= 1e-7
+
     def test_joint_stats_surface_convergence(self, skx_machine):
         jobs = [(get_workload("605.mcf"), Placement.dram_only()),
                 (get_workload("603.bwaves").with_threads(10),
@@ -402,6 +500,9 @@ class TestRunColocated:
         stats = {}
         assert skx_machine.run_colocated([], stats=stats) == []
         assert stats["joint_converged"] is True
+        packed = {}
+        skx_machine.run_colocated(seeded_pairs(1)[0], stats=packed)
+        assert set(stats) == set(packed)
 
 
 class TestRunColocatedGroups:
@@ -458,6 +559,24 @@ class TestRunColocatedGroups:
         assert stats["joint_converged"] is True
         assert stats["joint_iterations"] > 0
         assert stats["nonconverged"] == 0
+
+    def test_fault_hook_path_reports_the_same_stats(self, skx_machine):
+        # A latency fault hook routes the solve through the group-by-
+        # group scalar fallback; its telemetry must keep the packed
+        # path's keys (fleet tournaments read them unconditionally).
+        jobs = [job for pair in seeded_pairs(2) for job in pair]
+        packed = {}
+        skx_machine.run_colocated_groups(jobs, [[0, 1], [2, 3]],
+                                         stats=packed)
+        previous = set_latency_fault_hook(lambda device, latency: latency)
+        try:
+            hooked = {}
+            skx_machine.run_colocated_groups(jobs, [[0, 1], [2, 3]],
+                                             stats=hooked)
+        finally:
+            set_latency_fault_hook(previous)
+        assert set(hooked) == set(packed)
+        assert hooked["replay_resolves"] == 0
 
     def test_rejects_overlapping_groups(self, skx_machine):
         jobs = [job for pair in self.pairs() for job in pair]

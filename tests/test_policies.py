@@ -8,7 +8,7 @@ from repro.policies import (Alto, BestShot, Caption, Colloid, FirstTouch,
                             contention_amplification, evaluate_policy,
                             fig15_policies, mixed_colocation,
                             schedule_by_camp, schedule_by_mpki)
-from repro.uarch import Placement
+from repro.uarch import Machine, Placement
 from repro.workloads import colocation_pairs, get_workload
 
 
@@ -242,6 +242,35 @@ class TestColocationScheduling:
                                    skx_cxla_calibration)
         assert len(outcome.slowdowns) == 2
         assert outcome.weighted_speedup > 0.0
+
+    @pytest.mark.parametrize("scheduler", ["camp", "mpki"])
+    def test_profiling_runs_are_the_solo_baselines(
+            self, skx_machine, skx_cxla_calibration, monkeypatch,
+            scheduler):
+        # The DRAM-only runs the scheduler profiles are its slowdown
+        # baselines: two Machine.run calls per pair, none repeated.
+        calls = []
+        run = Machine.run
+
+        def counting_run(machine, *args, **kwargs):
+            calls.append(args[0].name)
+            return run(machine, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
+        pair = colocation_pairs()[1]
+        if scheduler == "camp":
+            outcome = schedule_by_camp(skx_machine, pair, "cxl-a",
+                                       skx_cxla_calibration)
+        else:
+            outcome = schedule_by_mpki(skx_machine, pair, "cxl-a")
+        assert sorted(calls) == sorted(w.name for w in pair)
+        monkeypatch.undo()
+        by_name = {w.name: w for w in pair}
+        for name, solo in zip((outcome.fast_workload,
+                               outcome.slow_workload),
+                              outcome.solo_cycles):
+            assert solo == skx_machine.run(
+                by_name[name], Placement.dram_only()).cycles
 
     def test_mixed_colocation_policies(self, skx_machine,
                                        skx_cxla_calibration):
