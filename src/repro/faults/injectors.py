@@ -198,7 +198,8 @@ class LatencyInjector:
     """Context manager injecting tier latency faults into the substrate.
 
     While entered, every :func:`~repro.uarch.memory.loaded_latency_ns`
-    computation passes through the plan's tier faults: ``spike``
+    computation, and every lane's tier latency in a colocation solve,
+    passes through the plan's tier faults: ``spike``
     multiplies the latency, ``stall`` adds flat nanoseconds.  A
     per-device call counter keys the draws, so a fixed call sequence
     (serial execution) sees a fixed fault sequence.

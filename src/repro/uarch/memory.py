@@ -199,9 +199,8 @@ class DeviceLanes:
 
 def loaded_latency_ns_batch(lanes: DeviceLanes, utilization: np.ndarray,
                             tail_sensitivity: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`loaded_latency_ns` (fault hooks not supported:
-    `Machine.run_batch` falls back to the scalar path while a latency
-    fault hook is installed)."""
+    """Vectorized :func:`loaded_latency_ns`, without the fault hook:
+    the batched solver applies an installed hook per lane itself."""
     u = np.minimum(np.maximum(utilization, 0.0), MAX_UTILIZATION)
     base = lanes.idle_latency_ns
     linear = 0.20 * u

@@ -9,6 +9,7 @@ outer iterations.  The executor's serial batch path must preserve the
 runtime's byte-identity guarantee on top of that.
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from repro.runtime.store import ResultStore
 from repro.uarch import EMR2S, Machine, Placement, SKX2S, SPR2S
 from repro.uarch.machine import (ACCELERATED_RELATIVE_TOLERANCE,
                                  WarmStartCache)
-from repro.uarch.memory import set_latency_fault_hook
+from repro.uarch.memory import MAX_UTILIZATION, set_latency_fault_hook
 from repro.workloads import get_workload
 from repro.workloads.suites import evaluation_suite
 
@@ -435,6 +436,21 @@ def seeded_pairs(count):
                                   for _ in range(count))]
 
 
+def interleaved_pairs(count):
+    """``count`` seeded pairs with both jobs interleaved on cxl-a."""
+    population = list(evaluation_suite(2026))
+    rng = random.Random(2027)
+    pairs = []
+    for _ in range(count):
+        first, second = rng.sample(population, 2)
+        pairs.append([
+            (first, Placement.interleaved(round(rng.uniform(0.2, 0.8), 2),
+                                          "cxl-a")),
+            (second, Placement.interleaved(
+                round(rng.uniform(0.2, 0.8), 2), "cxl-a"))])
+    return pairs
+
+
 class TestRunColocated:
     def test_joint_answer_is_each_jobs_fixed_point(self, skx_machine):
         # At the joint fixed point, re-solving a job alone under its
@@ -467,15 +483,14 @@ class TestRunColocated:
         }[case]
 
     #: The saturated pair's cycles under the pinned joint scheme.
-    SATURATED_CYCLES = (2492872167.7182593, 21346796388.004307)
+    SATURATED_CYCLES = (2480590718.442508, 29188551334.0381)
 
     @pytest.mark.parametrize("case,iterations", [
-        ("saturated", 49), ("dram-slow", 34), ("interleaved", 34)])
+        ("saturated", 24), ("dram-slow", 3), ("interleaved", 5)])
     def test_joint_scheme_is_pinned(self, skx_machine, case, iterations):
-        # A change to the damped joint traffic update must update these
-        # on purpose: on a saturated shared device each job carries its
-        # own escalation, so the joint answer depends on the iteration
-        # path (docs/SOLVER.md, "Grouped colocation solves").
+        # A change to the joint step (the shared escalations, the
+        # per-group Anderson step, the exit rule) must update these on
+        # purpose (docs/SOLVER.md, "Grouped colocation solves").
         stats = {}
         results = skx_machine.run_colocated(self.pinned_jobs(case),
                                             stats=stats)
@@ -505,6 +520,73 @@ class TestRunColocated:
         assert set(stats) == set(packed)
 
 
+class TestSharedEscalation:
+    """One escalation per (group, device) makes the answer unique.
+
+    Both groups saturate their shared cxl-a: the joint loop's
+    escalation then holds the device's total traffic at its capacity,
+    and every job sees the device's one latency.
+    """
+
+    GROUPS = {
+        "bwaves10+mcf": (
+            ("603.bwaves", 10, 0.3), ("605.mcf", None, 0.3)),
+        "roms10+mcf+xz": (
+            ("654.roms", 10, 0.2), ("605.mcf", None, 0.0),
+            ("557.xz", None, 0.5)),
+    }
+
+    @classmethod
+    def jobs(cls, case):
+        jobs = []
+        for name, threads, dram_fraction in cls.GROUPS[case]:
+            workload = get_workload(name)
+            if threads is not None:
+                workload = workload.with_threads(threads)
+            jobs.append((workload,
+                         Placement.interleaved(dram_fraction, "cxl-a")
+                         if dram_fraction > 0 else
+                         Placement.slow_only("cxl-a")))
+        return jobs
+
+    @pytest.mark.parametrize("case", sorted(GROUPS))
+    def test_job_order_does_not_matter(self, skx_machine, case):
+        jobs = self.jobs(case)
+        results = skx_machine.run_colocated(jobs)
+        for order in itertools.permutations(range(len(jobs))):
+            permuted = skx_machine.run_colocated(
+                [jobs[index] for index in order])
+            for position, index in enumerate(order):
+                assert relative_error(permuted[position].cycles,
+                                      results[index].cycles) <= 1e-9
+
+    @pytest.mark.parametrize("case", sorted(GROUPS))
+    def test_tighter_tolerance_agrees(self, skx_machine, case):
+        jobs = self.jobs(case)
+        default = skx_machine.run_colocated(jobs)
+        stats = {}
+        tight = skx_machine.run_colocated(jobs, tolerance=1e-9,
+                                          stats=stats)
+        assert stats["joint_converged"] is True
+        for got, want in zip(default, tight):
+            assert relative_error(got.cycles, want.cycles) <= 1e-6
+
+    @pytest.mark.parametrize("case", sorted(GROUPS))
+    def test_one_queue_per_device(self, skx_machine, case):
+        results = skx_machine.run_colocated(self.jobs(case))
+        device = skx_machine.device("cxl-a")
+        # Each job's slow latency is the device's loaded latency times
+        # the job's own tail factor.
+        latencies = [result.slow_latency_ns / (
+            1.0 + device.tail_alpha * result.workload.tail_sensitivity)
+            for result in results]
+        for latency in latencies[1:]:
+            assert relative_error(latency, latencies[0]) <= 1e-6
+        capacity = MAX_UTILIZATION * device.peak_bandwidth_gbps
+        total = sum(result.slow_gbps for result in results)
+        assert relative_error(total, capacity) <= 1e-6
+
+
 class TestRunColocatedGroups:
     """The pack-once grouped joint solver behind fleet tournaments."""
 
@@ -520,34 +602,34 @@ class TestRunColocatedGroups:
               Placement.slow_only("cxl-a"))],
         ]
 
+    def many_pairs(self):
+        return self.pairs() + seeded_pairs(8) + interleaved_pairs(8)
+
     def test_matches_per_group_run_colocated(self, skx_machine):
-        pairs = self.pairs()
+        # Each group leaves the batch when its own change meets the
+        # tolerance, so batch-mates cannot move its answer.
+        pairs = self.many_pairs()
         jobs = [job for pair in pairs for job in pair]
-        groups = [[0, 1], [2, 3]]
+        groups = [[2 * index, 2 * index + 1]
+                  for index in range(len(pairs))]
         grouped = skx_machine.run_colocated_groups(jobs, groups,
                                                    tolerance=1e-7)
-        cursor = 0
-        for pair in pairs:
+        for index, pair in enumerate(pairs):
             solo = skx_machine.run_colocated(pair, tolerance=1e-7)
-            for result in solo:
-                joint = grouped[cursor]
-                assert joint.cycles == pytest.approx(result.cycles,
-                                                     rel=1e-4)
-                cursor += 1
+            assert_bit_identical(grouped[2 * index:2 * index + 2], solo)
 
     def test_groups_are_isolated(self, skx_machine):
         # A group's traffic must not leak into another group even on
-        # the same device: solving [A] and [B] together groupwise
-        # equals solving each alone.
-        pairs = self.pairs()
+        # the same device: solving the groups together equals solving
+        # each alone.
+        pairs = self.many_pairs()
         jobs = [job for pair in pairs for job in pair]
-        grouped = skx_machine.run_colocated_groups(jobs, [[0, 1],
-                                                          [2, 3]])
-        alone = skx_machine.run_colocated_groups(pairs[0], [[0, 1]])
-        # Convergence is checked fleet-wide, so iteration counts can
-        # differ slightly; true leakage would move cycles by percents.
-        for joint, solo in zip(grouped[:2], alone):
-            assert joint.cycles == pytest.approx(solo.cycles, rel=1e-6)
+        grouped = skx_machine.run_colocated_groups(
+            jobs, [[2 * index, 2 * index + 1]
+                   for index in range(len(pairs))])
+        for index, pair in enumerate(pairs):
+            alone = skx_machine.run_colocated_groups(pair, [[0, 1]])
+            assert_bit_identical(grouped[2 * index:2 * index + 2], alone)
 
     def test_stats_shape(self, skx_machine):
         jobs = [job for pair in self.pairs() for job in pair]
@@ -561,22 +643,42 @@ class TestRunColocatedGroups:
         assert stats["nonconverged"] == 0
 
     def test_fault_hook_path_reports_the_same_stats(self, skx_machine):
-        # A latency fault hook routes the solve through the group-by-
-        # group scalar fallback; its telemetry must keep the packed
-        # path's keys (fleet tournaments read them unconditionally).
-        jobs = [job for pair in seeded_pairs(2) for job in pair]
+        # A latency fault hook runs inside the packed solve, so an
+        # identity hook changes nothing: not the answer, not the
+        # telemetry fleet tournaments read unconditionally.
+        jobs = [job for pair in self.many_pairs()[:4] for job in pair]
+        groups = [[0, 1], [2, 3], [4, 5], [6, 7]]
         packed = {}
-        skx_machine.run_colocated_groups(jobs, [[0, 1], [2, 3]],
-                                         stats=packed)
+        unhooked = skx_machine.run_colocated_groups(jobs, groups,
+                                                    stats=packed)
         previous = set_latency_fault_hook(lambda device, latency: latency)
         try:
             hooked = {}
-            skx_machine.run_colocated_groups(jobs, [[0, 1], [2, 3]],
-                                             stats=hooked)
+            results = skx_machine.run_colocated_groups(jobs, groups,
+                                                       stats=hooked)
         finally:
             set_latency_fault_hook(previous)
-        assert set(hooked) == set(packed)
+        assert hooked == packed
         assert hooked["replay_resolves"] == 0
+        assert_bit_identical(results, unhooked)
+
+    def test_fault_hook_sees_every_tier(self, skx_machine):
+        jobs = self.pairs()[0]
+        baseline = skx_machine.run_colocated(jobs)
+        seen = set()
+
+        def spike(device, latency):
+            seen.add(device.name)
+            return latency * 1.5
+
+        previous = set_latency_fault_hook(spike)
+        try:
+            spiked = skx_machine.run_colocated(jobs)
+        finally:
+            set_latency_fault_hook(previous)
+        assert seen == {skx_machine.platform.dram.name, "cxl-a"}
+        for got, want in zip(spiked, baseline):
+            assert got.cycles > want.cycles
 
     def test_rejects_overlapping_groups(self, skx_machine):
         jobs = [job for pair in self.pairs() for job in pair]

@@ -195,6 +195,25 @@ class TestTournament:
                                executor, config)
         assert again.to_dict() == small_report.to_dict()
 
+    def test_shard_size_does_not_change_the_answer(
+            self, small_report, skx_machine, skx_cxla_calibration):
+        # Each node's group leaves its shard's batch on its own
+        # convergence, so which nodes share a shard moves no metric;
+        # only the solver telemetry counts shards differently.
+        config = TournamentConfig(
+            nodes=24, seed=11, schedule="flat", shard_nodes=7,
+            policies=("best-shot", "static", "nbt"),
+            population_limit=16)
+        resharded = run_tournament(skx_machine, skx_cxla_calibration,
+                                   Executor(jobs=1), config).to_dict()
+        original = small_report.to_dict()
+        assert resharded["config"].pop("shard_nodes") == 7
+        assert original["config"].pop("shard_nodes") == 10
+        for report in (resharded, original):
+            for row in report["policies"]:
+                del row["solver"]
+        assert resharded == original
+
     def test_json_roundtrip(self, small_report, tmp_path):
         path = tmp_path / "FLEET_tournament.json"
         path.write_text(small_report.to_json())
