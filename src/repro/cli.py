@@ -23,8 +23,8 @@ Drives the library end-to-end from a shell, the way an operator would:
 ``loadgen``           open-loop constant-rate load against a running
                       server; prints and saves the SLO report
 ``workloads``         list the named paper workloads
-``cache``             inspect / compact / clear / migrate the persistent
-                      result store (docs/STORE.md)
+``cache``             inspect / compact / clear the persistent result
+                      store (docs/STORE.md)
 ``lint``              camp-lint: statically check the determinism /
                       cache-key / PMU invariants (docs/LINT.md)
 ``trace``             re-run any other command under a span-trace
@@ -749,35 +749,20 @@ def cmd_cache(args) -> int:
     """Inspect or maintain the persistent result store (docs/STORE.md)."""
     from .runtime import warmstore
     from .runtime.spec import CACHE_SCHEMA_VERSION, code_version
-    from .runtime.store import LegacyJsonStore
     root = pathlib.Path(args.cache_dir) if args.cache_dir \
         else default_cache_dir()
-    if args.action in ("warm-info", "warm-clear"):
-        with ResultStore(root, migrate_legacy=False,
-                         auto_compact=False) as store:
-            if args.action == "warm-clear":
-                present = warmstore.clear_warm_cache(store)
-                print("cleared warm-start snapshot" if present else
-                      "no warm-start snapshot for this code version")
-            else:
-                cache, loaded = warmstore.load_warm_cache(store)
-                print(f"key:      {warmstore.warm_store_key()}")
-                print(f"version:  {code_version()}")
-                print(f"points:   {loaded}")
-                print(f"capacity: {cache.capacity}")
-        return 0
-    if args.action == "migrate":
-        with ResultStore(root) as store:
-            entries = len(store)    # forces the open-time migration
-            stats = store.stats
-            print(f"migrated {stats.migrated} legacy entr"
-                  f"{'y' if stats.migrated == 1 else 'ies'} into "
-                  f"{len(store.segment_paths())} segment(s); "
-                  f"{stats.corrupt} rejected; {entries} entries live")
-        return 0
-    with ResultStore(root, migrate_legacy=False,
-                     auto_compact=False) as store:
-        if args.action == "clear":
+    with ResultStore(root, auto_compact=False) as store:
+        if args.action == "warm-clear":
+            present = warmstore.clear_warm_cache(store)
+            print("cleared warm-start snapshot" if present else
+                  "no warm-start snapshot for this code version")
+        elif args.action == "warm-info":
+            cache, loaded = warmstore.load_warm_cache(store)
+            print(f"key:      {warmstore.warm_store_key()}")
+            print(f"version:  {code_version()}")
+            print(f"points:   {loaded}")
+            print(f"capacity: {cache.capacity}")
+        elif args.action == "clear":
             entries = len(store)
             store.clear()
             print(f"cleared {entries} entr"
@@ -790,7 +775,6 @@ def cmd_cache(args) -> int:
                   f"{len(store.segment_paths())} segment(s), "
                   f"{len(store)} entries live")
         else:   # info
-            legacy = len(LegacyJsonStore(root))
             _, warm_points = warmstore.load_warm_cache(store)
             print(f"root:          {root}")
             print(f"schema:        {CACHE_SCHEMA_VERSION}")
@@ -798,7 +782,6 @@ def cmd_cache(args) -> int:
             print(f"segments:      {len(store.segment_paths())}")
             print(f"disk bytes:    {store.disk_bytes()}")
             print(f"corrupt:       {store.stats.corrupt}")
-            print(f"legacy (JSON): {legacy}")
             print(f"warm points:   {warm_points}")
     return 0
 
@@ -1026,15 +1009,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cache",
-        help="inspect / compact / clear / migrate the persistent "
-             "result store (docs/STORE.md)")
+        help="inspect / compact / clear the persistent result store "
+             "(docs/STORE.md)")
     p.add_argument("action",
-                   choices=("info", "compact", "clear", "migrate",
-                            "warm-info", "warm-clear"),
+                   choices=("info", "compact", "clear", "warm-info",
+                            "warm-clear"),
                    help="info: summary; compact: rewrite live records "
                         "into fresh segments; clear: delete every "
-                        "entry; migrate: pull legacy JSON entries into "
-                        "segments; warm-info: the solver warm-start "
+                        "entry; warm-info: the solver warm-start "
                         "snapshot for this code version; warm-clear: "
                         "tombstone it")
     p.add_argument("--cache-dir", type=_cache_dir_arg, metavar="DIR",

@@ -10,10 +10,10 @@ target (platform, device) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from .calibration import Calibration
-from .counters import CounterSample, ProfiledRun
+from .counters import ProfiledRun
 from .signature import Signature, signature, signature_from_sample
 
 
@@ -115,12 +115,3 @@ class SlowdownPredictor:
                 tier=profile.tier, label=f"{profile.label}@{index}")
             predictions.append(self.predict_signature(window_sig))
         return predictions
-
-    def predictor_metric(self, dram: Signature) -> float:
-        """The scalar "CAMP predictor" used in Table 1 / Fig. 1f.
-
-        The calibrated total prediction itself - this is the quantity
-        whose correlation with actual slowdown the paper reports as
-        0.97.
-        """
-        return self.predict_signature(dram).total

@@ -28,7 +28,7 @@ import math
 import pathlib
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.online import OnlinePredictor
 from ..core.signature import signature_from_sample
@@ -38,13 +38,13 @@ from ..runtime.executor import Executor
 from ..runtime.spec import RunSpec
 from ..runtime.store import ResultStore, default_cache_dir
 from ..runtime.telemetry import Telemetry
-from ..uarch.config import get_platform
+from ..uarch.config import DEVICES, get_platform
 from ..uarch.interleave import Placement
 from ..uarch.machine import Machine
 from ..workloads.phases import tc_kron_phased
 from ..workloads.suites import named_workloads
 from .injectors import ChaosStore, CounterInjector, LatencyInjector
-from .plan import FaultPlan, named_plan
+from .plan import named_plan
 
 #: Acceptance bound on the mean relative gap between degraded and clean
 #: predictions (invariant 3).  Counter-loss fallbacks are intentionally
@@ -251,16 +251,20 @@ def run_chaos(schedule: str = "default", seed: int = 0,
             spec.fingerprint() in reader_store for spec in all_specs)
 
     # -- phase 4: tier latency faults ---------------------------------------
+    # A run draws one fault per tier, so every workload runs slow-only
+    # on every device: enough runs for the schedule's odds to strike.
     baseline_entries = len(store) if store is not None else 0
+    tier_specs = [RunSpec.from_machine(machine, w, Placement.slow_only(name))
+                  for w in workloads for name in DEVICES]
     tier_executor = Executor(jobs=1, store=store, fault_plan=plan)
     with telemetry.stage("chaos.tiers", schedule=schedule), \
             LatencyInjector(plan) as latency:
-        tier_results = tier_executor.run(slow_specs,
+        tier_results = tier_executor.run(tier_specs,
                                          label="chaos:tiers")
     telemetry.merge(tier_executor.telemetry)
     _merge_counts(injected, latency.injected)
     invariants["tier_faulted_runs_complete"] = (
-        len(tier_results) == len(slow_specs) and
+        len(tier_results) == len(tier_specs) and
         all(math.isfinite(result.runtime_s) and result.runtime_s > 0
             for result in tier_results))
 

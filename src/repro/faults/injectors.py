@@ -10,8 +10,8 @@ real deployment:
   the way a crashed writer or bad disk does - after the atomic replace,
   so the store's own write path stays honest;
 - :class:`LatencyInjector` installs the :func:`~repro.uarch.memory.
-  set_latency_fault_hook` so slow-tier latency computations see tail
-  spikes and transient stalls.
+  set_latency_fault_hook` so solves see slow-tier tail spikes and
+  transient stalls.
 
 All injection sites are deterministic under the plan's seed (see
 :mod:`repro.faults.plan`), so every injector doubles as a replay tool.
@@ -20,13 +20,12 @@ All injection sites are deterministic under the plan's seed (see
 from __future__ import annotations
 
 import pathlib
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..core.counters import Counter, CounterSample
 from ..runtime.errors import StoreError
 from ..runtime.store import ResultStore
 from ..uarch import memory
-from ..uarch.config import MemoryDeviceConfig
 from .plan import FaultPlan, _draw
 
 
@@ -197,12 +196,13 @@ class FlakyStore(ChaosStore):
 class LatencyInjector:
     """Context manager injecting tier latency faults into the substrate.
 
-    While entered, every :func:`~repro.uarch.memory.loaded_latency_ns`
-    computation, and every lane's tier latency in a colocation solve,
-    passes through the plan's tier faults: ``spike``
-    multiplies the latency, ``stall`` adds flat nanoseconds.  A
-    per-device call counter keys the draws, so a fixed call sequence
-    (serial execution) sees a fixed fault sequence.
+    While entered, every solve - scalar, batched or colocated - draws
+    one of the plan's tier faults per run and tier when it starts, and
+    applies it to that tier's loaded latency in every evaluation:
+    ``spike`` multiplies the latency by ``1 + magnitude``, ``stall``
+    adds ``magnitude`` nanoseconds.  A per-tier call counter keys the
+    draws, so a fixed call sequence (serial execution) sees a fixed
+    fault sequence.
 
     The hook is process-local: pool workers never inherit it, which is
     why the chaos harness runs the tier phase serially.  On exit the
@@ -214,22 +214,21 @@ class LatencyInjector:
         self.plan = plan
         self.injected: Dict[str, int] = {}
         self._calls: Dict[str, int] = {}
-        self._previous: Optional[object] = None
+        self._previous: Optional[memory.LatencyFaultHook] = None
         self._active = False
 
-    def _hook(self, device: MemoryDeviceConfig,
-              latency_ns: float) -> float:
-        tier = device.name
+    def _hook(self, tier: str) -> Tuple[float, float]:
+        """``(scale, add_ns)`` for one run's ``tier``."""
         call_index = self._calls.get(tier, 0)
         self._calls[tier] = call_index + 1
         fault = self.plan.tier_action(tier, call_index)
         if fault is None:
-            return latency_ns
+            return 1.0, 0.0
         name = f"tier_{fault.mode}"
         self.injected[name] = self.injected.get(name, 0) + 1
         if fault.mode == "spike":
-            return latency_ns * (1.0 + fault.magnitude)
-        return latency_ns + fault.magnitude
+            return 1.0 + fault.magnitude, 0.0
+        return 1.0, fault.magnitude
 
     def __enter__(self) -> "LatencyInjector":
         if self._active:

@@ -186,10 +186,11 @@ class FaultPlan:
 
     def tier_action(self, tier: str, call_index: int
                     ) -> Optional[TierFault]:
-        """The tier fault hitting one latency computation, if any.
+        """The tier fault hitting one run's ``tier``, if any.
 
-        ``"*"`` faults match every tier except local DRAM - the paper's
-        tail/stall pathologies are slow-tier phenomena.
+        ``tier`` is ``"dram"`` or a slow device's name.  ``"*"`` faults
+        match every tier except local DRAM - the paper's tail/stall
+        pathologies are slow-tier phenomena.
         """
         for fault in self.tier_faults:
             if fault.tier == "*":

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .engine import FileContext
 
@@ -360,8 +360,6 @@ class ProgramGraph:
     def __init__(self, modules: Dict[str, ModuleInfo],
                  root=None):
         self.modules = modules          # module name -> info
-        self.by_relpath = {info.relpath: info
-                           for info in modules.values()}
         self.root = root
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
@@ -391,12 +389,6 @@ class ProgramGraph:
         return cls(modules, root=root)
 
     # -- lookups -------------------------------------------------------------
-    def module_for(self, relpath: str) -> Optional[ModuleInfo]:
-        return self.by_relpath.get(relpath)
-
-    def class_of(self, qname: str) -> Optional[ClassInfo]:
-        return self.classes.get(qname)
-
     def method_on(self, cls_qname: str,
                   method: str) -> Optional[FunctionInfo]:
         """Resolve ``method`` on a class, walking resolvable bases."""
@@ -574,16 +566,6 @@ class ProgramGraph:
         target = self._resolve_ref(func, fn, info, local_types)
         sites.append(CallSite(node, target))
         return sites
-
-    # -- digests -------------------------------------------------------------
-    def callers_of(self, qname: str) -> List[Tuple[FunctionInfo,
-                                                   CallSite]]:
-        out = []
-        for fn in self.functions.values():
-            for site in fn.calls:
-                if site.callee == qname:
-                    out.append((fn, site))
-        return out
 
 
 def build_program(contexts: Sequence[FileContext],

@@ -9,7 +9,7 @@ PMU01     every ``P<n>`` counter reference exists in the registry
 ERR01     runtime/faults error handling uses the errors.py taxonomy
 PURE01    pool workers don't close over / mutate module state
 UNITS01   latency/bandwidth identifiers carry unit suffixes
-DTYPE01   float32 arrays only in the sanctioned fast-path module
+DTYPE01   no float32 array creation
 ========  ==========================================================
 
 Whole-program rules (flow-aware, over the shared

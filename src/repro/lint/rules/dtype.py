@@ -1,20 +1,17 @@
-"""DTYPE01 - float32 arrays only inside the sanctioned fast path.
+"""DTYPE01 - no float32 arrays anywhere in ``src/``.
 
 The solver's numerical contracts are written against float64: replay
 mode promises bit-identity with the scalar loop, the accelerated mode
 promises ``ACCELERATED_RELATIVE_TOLERANCE = 1e-7`` - a bound float32
-arithmetic (epsilon ``~1.19e-7``) cannot honour on its own.  The one
-place single precision is deliberate is the f32 pre-pass in
-:mod:`repro.uarch.fastpath`, whose result is always polished by a full
-float64 solve before anything observable is derived from it.
+arithmetic (epsilon ``~1.19e-7``) cannot honour.
 
-Anywhere else, a float32 array is silent precision loss: numpy quietly
-downcasts on mixed-dtype arithmetic, so one stray ``astype(np.float32)``
-(or ``dtype="float32"``) in a kernel poisons every array it touches and
+A float32 array is silent precision loss: numpy quietly downcasts on
+mixed-dtype arithmetic, so one stray ``astype(np.float32)`` (or
+``dtype="float32"``) in a kernel poisons every array it touches and
 the tolerance contract fails only on the workloads where it matters.
 This rule flags float32 creation - ``numpy.float32`` used as a dtype or
 scalar constructor, ``.astype`` to float32, and string-dtype spellings
-(``"float32"``, ``"f4"``) - outside the sanctioned module.
+(``"float32"``, ``"f4"``).  No module is exempt.
 """
 
 from __future__ import annotations
@@ -24,9 +21,6 @@ from typing import Iterator, Optional
 
 from ..engine import FileContext, Finding, Rule
 from .determinism import _ImportMap, _dotted
-
-#: The one module allowed to create single-precision arrays.
-_SANCTIONED = "src/repro/uarch/fastpath.py"
 
 #: Canonical dotted names that denote the float32 dtype (or its scalar
 #: constructor).  ``numpy.single`` is the same type under another name.
@@ -48,18 +42,13 @@ def _is_float32(node: ast.AST, imports: _ImportMap) -> bool:
 
 class DtypeDisciplineRule(Rule):
     id = "DTYPE01"
-    description = ("float32 arrays are created only in the sanctioned "
-                   "fast-path module")
+    description = "no float32 array creation"
     rationale = ("single precision cannot honour the solver's 1e-7 "
-                 "accelerated tolerance (or replay bit-identity); the "
-                 "f32 pre-pass is quarantined in repro.uarch.fastpath "
-                 "where a float64 polish always follows")
+                 "accelerated tolerance (or replay bit-identity)")
     kind = "python"
     scopes = ("src/repro",)
 
     def check(self, ctx: FileContext, program) -> Iterator[Finding]:
-        if ctx.relpath == _SANCTIONED:
-            return
         tree = ctx.tree
         if tree is None:
             return
@@ -72,10 +61,9 @@ class DtypeDisciplineRule(Rule):
             if flagged is not None:
                 yield self.finding(
                     ctx, node,
-                    f"float32 creation ({flagged}) outside "
-                    f"{_SANCTIONED}: single precision breaks the "
-                    f"solver's float64 tolerance contracts; route "
-                    f"through the fastpath module (docs/SOLVER.md)")
+                    f"float32 creation ({flagged}): single precision "
+                    f"breaks the solver's float64 tolerance contracts "
+                    f"(docs/SOLVER.md)")
 
     def _float32_use(self, node: ast.Call,
                      imports: _ImportMap) -> Optional[str]:

@@ -54,11 +54,6 @@ class ColocationOutcome:
             for result, solo in zip(self.results, self.solo_cycles))
 
     @property
-    def mean_slowdown(self) -> float:
-        pair = self.slowdowns
-        return sum(pair) / len(pair)
-
-    @property
     def weighted_speedup(self) -> float:
         """Sum of per-workload normalized performance (higher better)."""
         return sum(solo / result.cycles

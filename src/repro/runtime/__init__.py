@@ -30,15 +30,13 @@ from .errors import (RetryPolicy, StoreError, TaskTimeoutError,
 from .executor import Executor, default_jobs, execute_run_spec
 from .spec import (CACHE_SCHEMA_VERSION, CalibrationSpec, RunSpec,
                    canonical_json, code_version, fingerprint)
-from .store import (LegacyJsonStore, ResultStore, StoreStats,
-                    default_cache_dir)
+from .store import ResultStore, StoreStats, default_cache_dir
 from .telemetry import ProgressReporter, Telemetry
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CalibrationSpec",
     "Executor",
-    "LegacyJsonStore",
     "ProgressReporter",
     "ResultStore",
     "RetryPolicy",

@@ -24,8 +24,7 @@ import marshal
 from dataclasses import asdict
 from typing import Any, Dict, Optional
 
-from ..core.calibration import Calibration
-from ..core.counters import Counter, CounterSample, ProfiledRun
+from ..core.counters import Counter, CounterSample
 from ..uarch.caches import DemandProfile
 from ..uarch.config import MemoryDeviceConfig, PlatformConfig
 from ..uarch.core import CycleBreakdown
@@ -116,7 +115,7 @@ def placement_from_dict(data: Dict[str, Any]) -> Placement:
 
 
 # ---------------------------------------------------------------------------
-# Counter samples and profiled runs.
+# Counter samples.
 # ---------------------------------------------------------------------------
 
 def sample_to_dict(sample: CounterSample) -> Dict[str, float]:
@@ -126,31 +125,6 @@ def sample_to_dict(sample: CounterSample) -> Dict[str, float]:
 def sample_from_dict(data: Dict[str, float]) -> CounterSample:
     return CounterSample({Counter(key): value
                           for key, value in data.items()})
-
-
-def profiled_run_to_dict(run: ProfiledRun) -> Dict[str, Any]:
-    return {
-        "sample": sample_to_dict(run.sample),
-        "platform_family": run.platform_family,
-        "tier": run.tier,
-        "frequency_ghz": run.frequency_ghz,
-        "duration_s": run.duration_s,
-        "label": run.label,
-        "windows": [sample_to_dict(window) for window in run.windows],
-    }
-
-
-def profiled_run_from_dict(data: Dict[str, Any]) -> ProfiledRun:
-    return ProfiledRun(
-        sample=sample_from_dict(data["sample"]),
-        platform_family=data["platform_family"],
-        tier=data["tier"],
-        frequency_ghz=data["frequency_ghz"],
-        duration_s=data["duration_s"],
-        label=data.get("label", ""),
-        windows=tuple(sample_from_dict(window)
-                      for window in data.get("windows", [])),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +177,3 @@ def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
         converged=data["converged"],
     )
 
-
-# ---------------------------------------------------------------------------
-# Calibrations (already have a dict form; re-exported for symmetry).
-# ---------------------------------------------------------------------------
-
-def calibration_to_dict(calibration: Calibration) -> Dict[str, Any]:
-    return calibration.to_dict()
-
-
-def calibration_from_dict(data: Dict[str, Any]) -> Calibration:
-    return Calibration.from_dict(data)

@@ -132,15 +132,6 @@ class CycleBreakdown:
     #: Whether the inner fixed point converged.
     converged: bool
 
-    @property
-    def memory_stalls(self) -> float:
-        return (self.s_llc + self.s_cache + self.s_sb +
-                self.s_l2_hit + self.s_l3_hit)
-
-    @property
-    def cpi(self) -> float:
-        return self.cycles  # callers divide by per-core instructions
-
 
 def _saturating(excess_ns: float, scale_ns: float) -> float:
     if excess_ns <= 0:
@@ -423,7 +414,6 @@ def exposure_corrections_batch(burstiness: np.ndarray, mlp_eff: np.ndarray,
 
 def account_cycles_batch(params: BatchCoreParams, flow: BatchPrefetchFlow,
                          latency_ctx: BatchLatencyContext,
-                         relative_tolerance: float = _RELATIVE_TOLERANCE,
                          start_cycles: Optional[np.ndarray] = None
                          ) -> BatchCycleBreakdown:
     """Solve N per-core cycle breakdowns at fixed memory latencies.
@@ -432,12 +422,6 @@ def account_cycles_batch(params: BatchCoreParams, flow: BatchPrefetchFlow,
     iteration they meet the scalar solver's convergence criterion, so
     every retained term carries exactly the doubles the scalar
     `account_cycles` would have produced for that problem.
-
-    ``relative_tolerance`` exists for the float32 fast path
-    (``uarch/fastpath.py``): the default 1e-10 criterion sits below
-    float32 machine epsilon and would never trigger, so the f32 phase
-    passes a looser one.  Every bit-identity-bearing caller keeps the
-    default.
 
     ``start_cycles`` replaces the cold first guess: the accelerated
     outer solver passes the cycles its previous evaluation settled
@@ -520,7 +504,7 @@ def account_cycles_batch(params: BatchCoreParams, flow: BatchPrefetchFlow,
         new_cycles = (base_cycles + s_llc_it + s_cache_it + s_sb_it +
                       s_l2_hit + s_l3_hit)
         conv_now = active & (np.abs(new_cycles - cycles) <=
-                             relative_tolerance * cycles)
+                             _RELATIVE_TOLERANCE * cycles)
 
         # Lanes still iterating (including those converging right now)
         # retain this iteration's terms - exactly what the scalar loop

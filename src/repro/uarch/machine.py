@@ -29,19 +29,16 @@ import numpy as np
 from ..core.counters import CounterSample, ProfiledRun
 from ..obs.tracer import maybe_span
 from ..workloads.spec import WorkloadSpec
-from . import fastpath
 from . import memory as memory_mod
 from .caches import DemandProfile, demand_profile
 from .config import (DEVICES, MemoryDeviceConfig, PlatformConfig,
                      get_device)
 from .core import (BatchCoreParams, BatchCycleBreakdown, BatchLatencyContext,
-                   CycleBreakdown, LatencyContext,
-                   _RELATIVE_TOLERANCE as _INNER_TOLERANCE, account_cycles,
+                   CycleBreakdown, LatencyContext, account_cycles,
                    account_cycles_batch)
 from .interleave import Placement, request_share, request_share_batch
-from .memory import (MAX_ESCALATION, DeviceLanes, TierLoad,
-                     loaded_latency_ns, loaded_latency_ns_batch,
-                     measure_idle_latency_ns, rfo_latency_ns,
+from .memory import (MAX_ESCALATION, DeviceLanes, loaded_latency_ns,
+                     loaded_latency_ns_batch, measure_idle_latency_ns,
                      updated_escalation, updated_escalation_batch,
                      utilization_for_bandwidth,
                      utilization_for_bandwidth_batch)
@@ -69,6 +66,16 @@ _OUTER_DAMPING = 0.35
 #: this tolerance, not bit-for-bit.  Replay mode (the default) *is*
 #: bit-for-bit.
 ACCELERATED_RELATIVE_TOLERANCE = 1e-7
+
+#: A tier's latency fault for one solve: ``loaded * scale + add_ns``.
+_NO_FAULT = (1.0, 0.0)
+
+
+def _tier_fault(tier: str) -> Tuple[float, float]:
+    """The installed latency fault hook's draw for one tier, once per
+    solve (``memory.set_latency_fault_hook``); no fault without one."""
+    hook = memory_mod._LATENCY_FAULT_HOOK
+    return _NO_FAULT if hook is None else hook(tier)
 
 
 @dataclass(frozen=True)
@@ -358,7 +365,9 @@ class _BatchProblem:
     (``platforms``/``noises``/``seeds``): one packed batch may mix
     SKX/SPR/EMR lanes at different noise levels, which is what lets a
     whole suite population solve as a single masked batch
-    (:meth:`Machine.run_batch_multi`).
+    (:meth:`Machine.run_batch_multi`).  The ``*_fault_*`` arrays hold
+    each lane's latency fault, drawn once when the batch is packed
+    (``loaded * scale + add_ns``; scale 1 and add 0 without a hook).
     """
 
     workloads: List[WorkloadSpec]
@@ -382,6 +391,10 @@ class _BatchProblem:
     slow_external_gbps: np.ndarray
     reference_idle_ns: np.ndarray
     zeros: np.ndarray
+    dram_fault_scale: np.ndarray
+    dram_fault_add_ns: np.ndarray
+    slow_fault_scale: np.ndarray
+    slow_fault_add_ns: np.ndarray
 
     @property
     def size(self) -> int:
@@ -413,6 +426,10 @@ class _BatchProblem:
             slow_external_gbps=self.slow_external_gbps[index],
             reference_idle_ns=self.reference_idle_ns[index],
             zeros=self.zeros[index],
+            dram_fault_scale=self.dram_fault_scale[index],
+            dram_fault_add_ns=self.dram_fault_add_ns[index],
+            slow_fault_scale=self.slow_fault_scale[index],
+            slow_fault_add_ns=self.slow_fault_add_ns[index],
         )
 
 
@@ -524,6 +541,9 @@ class Machine:
 
         demand = demand_profile(workload, self.platform)
         idle_dram = dram_dev.idle_latency_ns
+        dram_scale, dram_add_ns = _tier_fault("dram")
+        slow_scale, slow_add_ns = (_tier_fault(slow_dev.name)
+                                   if slow_dev is not None else _NO_FAULT)
 
         state = _SolverState(
             dram_latency_ns=idle_dram,
@@ -573,22 +593,27 @@ class Machine:
             dram_util = utilization_for_bandwidth(dram_dev, dram_offered)
             state.dram_escalation = updated_escalation(
                 state.dram_escalation, dram_dev, dram_offered)
-            new_dram = loaded_latency_ns(
-                dram_dev, dram_util, 0.0) * state.dram_escalation
-            new_dram_rfo = rfo_latency_ns(
-                dram_dev, dram_util, 0.0) * state.dram_escalation
+            # One loaded latency per tier.  The RFO latency is that
+            # latency times the device's RFO factor: on CXL the
+            # coherence round trip costs more than a plain read, which
+            # reproduces the paper's 2-3x RFO growth from DRAM to CXL.
+            dram_loaded = loaded_latency_ns(
+                dram_dev, dram_util, 0.0) * dram_scale + dram_add_ns
+            new_dram = dram_loaded * state.dram_escalation
+            new_dram_rfo = (dram_loaded * dram_dev.rfo_latency_factor *
+                            state.dram_escalation)
             if slow_dev is not None:
                 slow_offered = slow_gbps + external.get(slow_dev.name, 0.0)
                 slow_util = utilization_for_bandwidth(slow_dev,
                                                       slow_offered)
                 state.slow_escalation = updated_escalation(
                     state.slow_escalation, slow_dev, slow_offered)
-                new_slow = loaded_latency_ns(
+                slow_loaded = loaded_latency_ns(
                     slow_dev, slow_util,
-                    workload.tail_sensitivity) * state.slow_escalation
-                new_slow_rfo = rfo_latency_ns(
-                    slow_dev, slow_util,
-                    workload.tail_sensitivity) * state.slow_escalation
+                    workload.tail_sensitivity) * slow_scale + slow_add_ns
+                new_slow = slow_loaded * state.slow_escalation
+                new_slow_rfo = (slow_loaded * slow_dev.rfo_latency_factor *
+                                state.slow_escalation)
             else:
                 new_slow, new_slow_rfo = state.slow_latency_ns, \
                     state.slow_rfo_ns
@@ -660,8 +685,7 @@ class Machine:
                       Optional[Mapping[str, float]]]] = None,
                   *, accelerate: bool = False,
                   warm_cache: Optional[WarmStartCache] = None,
-                  stats: Optional[Dict[str, object]] = None,
-                  float32: bool = False
+                  stats: Optional[Dict[str, object]] = None
                   ) -> List[RunResult]:
         """Execute N (workload, placement) problems in one vectorized solve.
 
@@ -674,33 +698,22 @@ class Machine:
         fixed point within :data:`ACCELERATED_RELATIVE_TOLERANCE`
         (docs/SOLVER.md has the full tolerance contract).
 
-        ``float32=True`` (requires ``accelerate=True``) runs a single-
-        precision pre-pass to loose tolerances and then polishes every
-        lane in float64, so the returned observables are float64 and
-        the :data:`ACCELERATED_RELATIVE_TOLERANCE` contract still
-        holds (see ``uarch/fastpath.py``).
-
         ``external_traffic`` optionally gives one per-problem mapping of
         tier name to colocated GB/s, aligned with ``pairs``.  ``stats``
         (if given) receives solver telemetry: problem count, mode,
-        outer-iteration totals, warm seeds used, float32 pre-pass
-        iterations, and how many lanes did not converge.
+        outer-iteration totals, warm seeds used, replay re-solves, and
+        how many lanes did not converge.
         """
         pairs = list(pairs)
         if warm_cache is not None and not accelerate:
             raise ValueError(
                 "warm_cache requires accelerate=True: replay mode must "
                 "stay bit-identical to Machine.run")
-        if float32 and not accelerate:
-            raise ValueError(
-                "float32 requires accelerate=True: replay mode must "
-                "stay bit-identical to Machine.run")
         with maybe_span("machine.run_batch", problems=len(pairs),
                         platform=self.platform.name,
                         accelerated=accelerate) as span:
             results, solve_stats = self._run_batch(
-                pairs, external_traffic, accelerate, warm_cache,
-                float32=float32)
+                pairs, external_traffic, accelerate, warm_cache)
             if span is not None:
                 span.annotate(**solve_stats)
             if stats is not None:
@@ -708,12 +721,11 @@ class Machine:
             return results
 
     def _run_batch(self, pairs, external_traffic, accelerate, warm_cache,
-                   float32=False, platforms=None, noises=None, seeds=None):
+                   platforms=None, noises=None, seeds=None):
         if not pairs:
             return [], {"problems": 0, "mode": "empty",
                         "outer_iterations": 0, "nonconverged": 0,
-                        "warm_seeded": 0, "replay_resolves": 0,
-                        "f32_iterations": 0}
+                        "warm_seeded": 0, "replay_resolves": 0}
         externals: List[Optional[Mapping[str, float]]]
         if external_traffic is None:
             externals = [None] * len(pairs)
@@ -724,52 +736,12 @@ class Machine:
                     "external_traffic must align with pairs "
                     f"({len(externals)} != {len(pairs)})")
 
-        if memory_mod._LATENCY_FAULT_HOOK is not None:
-            # Fault hooks are stateful per-call scalar functions; the
-            # vectorized kernels cannot thread them.  Fall back to the
-            # looped scalar path so chaos runs see identical behavior.
-            if platforms is None:
-                machines: List["Machine"] = [self] * len(pairs)
-            else:
-                machines = [
-                    type(self)(platform, noise=noise, seed=lane_seed)
-                    for platform, noise, lane_seed in zip(
-                        platforms, noises, seeds)]
-            results = [
-                machine._run(workload,
-                             placement or Placement.dram_only(), external)
-                for machine, ((workload, placement), external) in zip(
-                    machines, zip(pairs, externals))]
-            return results, {
-                "problems": len(pairs), "mode": "scalar-fallback",
-                "outer_iterations": 0,
-                "nonconverged": sum(1 for r in results if not r.converged),
-                "warm_seeded": 0, "replay_resolves": 0,
-                "f32_iterations": 0}
-
         problem = self._pack_batch(pairs, externals, platforms=platforms,
                                    noises=noises, seeds=seeds)
         state = self._initial_state(problem)
         warm_seeded = 0
         if accelerate and warm_cache is not None:
             warm_seeded = self._apply_warm_seeds(problem, state, warm_cache)
-
-        f32_iterations = 0
-        if float32:
-            # Single-precision pre-pass: solve the whole batch to the
-            # loose fastpath tolerances in float32, then seed the
-            # float64 solve below from its final state.  The f64 pass
-            # re-derives every observable, so precision of the result
-            # is unchanged; lanes the pre-pass placed near the fixed
-            # point converge in a handful of double-precision steps.
-            pre = self._solve_batch(
-                fastpath.problem_to_float32(problem),
-                fastpath.state_to_float32(state),
-                accelerate=True,
-                outer_tolerance=fastpath.FASTPATH_OUTER_TOLERANCE,
-                inner_tolerance=fastpath.FASTPATH_INNER_TOLERANCE)
-            f32_iterations = int(pre.iterations.sum())
-            state = fastpath.seed_state_from_solution(pre)
 
         solution = self._solve_batch(problem, state, accelerate)
         replay_resolves = 0
@@ -791,21 +763,19 @@ class Machine:
         results = self._materialize(problem, solution)
         solve_stats = {
             "problems": problem.size,
-            "mode": ("accelerated-f32" if float32 else
-                     "accelerated" if accelerate else "replay"),
+            "mode": "accelerated" if accelerate else "replay",
             "outer_iterations": int(solution.iterations.sum()),
             "nonconverged": sum(1 for r in results if not r.converged),
             "warm_seeded": warm_seeded,
             "replay_resolves": replay_resolves,
-            "f32_iterations": f32_iterations,
         }
         return results, solve_stats
 
     @classmethod
     def run_batch_multi(cls, specs: Sequence, *, accelerate: bool = False,
                         warm_cache: Optional[WarmStartCache] = None,
-                        stats: Optional[Dict[str, object]] = None,
-                        float32: bool = False) -> List[RunResult]:
+                        stats: Optional[Dict[str, object]] = None
+                        ) -> List[RunResult]:
         """Solve specs spanning *different machines* as one masked batch.
 
         ``specs`` is any sequence of objects exposing ``workload``,
@@ -819,7 +789,7 @@ class Machine:
         In the default *replay* mode the result list is bit-identical
         to looping ``Machine(spec.platform, noise=spec.noise,
         seed=spec.seed).run(spec.workload, spec.placement)`` over the
-        specs.  ``accelerate``/``warm_cache``/``float32`` behave as in
+        specs.  ``accelerate``/``warm_cache`` behave as in
         :meth:`run_batch`.
         """
         specs = list(specs)
@@ -827,16 +797,11 @@ class Machine:
             raise ValueError(
                 "warm_cache requires accelerate=True: replay mode must "
                 "stay bit-identical to Machine.run")
-        if float32 and not accelerate:
-            raise ValueError(
-                "float32 requires accelerate=True: replay mode must "
-                "stay bit-identical to Machine.run")
         if not specs:
             if stats is not None:
                 stats.update(problems=0, mode="empty",
                              outer_iterations=0, nonconverged=0,
-                             warm_seeded=0, replay_resolves=0,
-                             f32_iterations=0)
+                             warm_seeded=0, replay_resolves=0)
             return []
         host = cls(specs[0].platform, noise=specs[0].noise,
                    seed=specs[0].seed)
@@ -844,7 +809,7 @@ class Machine:
         with maybe_span("machine.run_batch_multi", problems=len(specs),
                         accelerated=accelerate) as span:
             results, solve_stats = host._run_batch(
-                pairs, None, accelerate, warm_cache, float32=float32,
+                pairs, None, accelerate, warm_cache,
                 platforms=[spec.platform for spec in specs],
                 noises=[float(spec.noise) for spec in specs],
                 seeds=[int(spec.seed) for spec in specs])
@@ -866,6 +831,11 @@ class Machine:
         arrays bit-identical to the pre-cross-machine layout: filling a
         lane array from N copies of one platform produces exactly what
         ``np.full`` produced from its scalar.
+
+        An installed latency fault hook is asked here, once per lane
+        and tier, DRAM then slow, in lane order: the same sequence of
+        calls looped :meth:`run` makes, so a hooked replay batch still
+        equals the hooked scalar loop.
         """
         workloads = [workload for workload, _ in pairs]
         placements = [placement or Placement.dram_only()
@@ -894,6 +864,9 @@ class Machine:
         slow_external = lanes(
             (external or {}).get(dev.name, 0.0) if dev is not None else 0.0
             for dev, external in zip(slow_devices, externals))
+        faults = [(_tier_fault("dram"),
+                   _tier_fault(dev.name) if dev is not None else _NO_FAULT)
+                  for dev in slow_devices]
 
         return _BatchProblem(
             workloads=workloads,
@@ -924,6 +897,10 @@ class Machine:
             reference_idle_ns=lanes(
                 dev.idle_latency_ns for dev in dram_devs),
             zeros=np.zeros(count),
+            dram_fault_scale=lanes(dram[0] for dram, _ in faults),
+            dram_fault_add_ns=lanes(dram[1] for dram, _ in faults),
+            slow_fault_scale=lanes(slow[0] for _, slow in faults),
+            slow_fault_add_ns=lanes(slow[1] for _, slow in faults),
         )
 
     def _initial_state(self, problem: _BatchProblem) -> Dict[str, np.ndarray]:
@@ -982,7 +959,6 @@ class Machine:
                         dram_latency_ns, slow_latency_ns,
                         dram_rfo_ns, slow_rfo_ns,
                         dram_escalation, slow_escalation,
-                        inner_tolerance: float = _INNER_TOLERANCE,
                         start_cycles: Optional[np.ndarray] = None,
                         hold_escalation: bool = False):
         """One application of the outer map at the given state arrays.
@@ -990,18 +966,15 @@ class Machine:
         Mirrors the body of `_run`'s loop operation-for-operation;
         returns the pre-damping latency targets, the updated
         escalations, this iteration's observables, and the convergence
-        delta/scale.  ``inner_tolerance`` parameterizes the core
-        accounting's convergence criterion for the float32 fast path
-        (``uarch/fastpath.py``); the default is the scalar criterion.
-        ``start_cycles`` warm-starts the core accounting (accelerated
-        mode only; ``None`` is the scalar cold start).
+        delta/scale.  ``start_cycles`` warm-starts the core accounting
+        (accelerated mode only; ``None`` is the scalar cold start).
 
         ``hold_escalation`` treats the given escalations as fixed
         multipliers instead of integrating them from this lane's
         offered traffic: a colocation group's shared device has one
-        escalation, which the joint loop owns.  An installed latency
-        fault hook sees each lane's loaded tier latencies, DRAM then
-        slow, in lane order.
+        escalation, which the joint loop owns.  Each lane's latency
+        fault, drawn when the batch was packed, scales and offsets its
+        loaded tier latencies as in `_run`.
         """
         x_req = problem.x_req
         tier_read = (x_req * dram_latency_ns +
@@ -1022,7 +995,6 @@ class Machine:
             reference_idle_ns=problem.reference_idle_ns,
         )
         breakdown = account_cycles_batch(problem.params, flow, latency_ctx,
-                                         relative_tolerance=inner_tolerance,
                                          start_cycles=start_cycles)
 
         runtime_s = breakdown.cycles / (
@@ -1051,20 +1023,13 @@ class Machine:
             slow_escalation_all = updated_escalation_batch(
                 slow_escalation, problem.slow_lanes, slow_offered)
         # One loaded latency per tier: the RFO latency is that latency
-        # times the device's RFO factor (`rfo_latency_ns`), multiplied
-        # in the scalar path's order.
-        dram_loaded = loaded_latency_ns_batch(
+        # times the device's RFO factor, multiplied in `_run`'s order.
+        dram_loaded = (loaded_latency_ns_batch(
             problem.dram_lanes, dram_util, problem.zeros)
-        slow_loaded = loaded_latency_ns_batch(
+            * problem.dram_fault_scale + problem.dram_fault_add_ns)
+        slow_loaded = (loaded_latency_ns_batch(
             problem.slow_lanes, slow_util, problem.tail_sensitivity)
-        hook = memory_mod._LATENCY_FAULT_HOOK
-        if hook is not None:
-            for i, (platform, slow_device) in enumerate(
-                    zip(problem.platforms, problem.slow_devices)):
-                dram_loaded[i] = hook(platform.dram, float(dram_loaded[i]))
-                if slow_device is not None:
-                    slow_loaded[i] = hook(slow_device,
-                                          float(slow_loaded[i]))
+            * problem.slow_fault_scale + problem.slow_fault_add_ns)
         new_dram = dram_loaded * new_dram_escalation
         new_dram_rfo = (dram_loaded * problem.dram_lanes.rfo_latency_factor
                         * new_dram_escalation)
@@ -1091,8 +1056,6 @@ class Machine:
     def _solve_batch(self, problem: _BatchProblem,
                      state: Dict[str, np.ndarray],
                      accelerate: bool,
-                     outer_tolerance: float = _OUTER_TOLERANCE,
-                     inner_tolerance: float = _INNER_TOLERANCE,
                      start_cycles: Optional[np.ndarray] = None,
                      hold_escalation: bool = False
                      ) -> _BatchSolution:
@@ -1110,11 +1073,6 @@ class Machine:
         scalar solver's cold start in every evaluation.
         ``hold_escalation`` keeps the state's escalations fixed (see
         `_evaluate_outer`).
-
-        The tolerance parameters exist for the float32 fast path
-        (``uarch/fastpath.py``): the scalar criteria (the defaults) sit
-        below float32 machine epsilon, so the f32 phase solves to a
-        looser criterion and a float64 polish finishes the job.
         """
         dram_latency_ns = state["dram_latency_ns"]
         slow_latency_ns = state["slow_latency_ns"]
@@ -1143,7 +1101,6 @@ class Machine:
                 problem, dram_latency_ns, slow_latency_ns,
                 dram_rfo_ns, slow_rfo_ns,
                 dram_escalation, slow_escalation,
-                inner_tolerance=inner_tolerance,
                 start_cycles=inner_start,
                 hold_escalation=hold_escalation)
             iterations += active
@@ -1151,7 +1108,7 @@ class Machine:
                 inner_start = breakdown.cycles
             observables = (flow, breakdown, dram_gbps, slow_gbps)
 
-            conv_now = active & (delta <= outer_tolerance * scale)
+            conv_now = active & (delta <= _OUTER_TOLERANCE * scale)
             still_active = active & ~conv_now
             if kept is None:
                 kept = _zeros_like_lanes(observables)

@@ -31,25 +31,29 @@ Latency components:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import CACHELINE_BYTES, MemoryDeviceConfig
+from .config import MemoryDeviceConfig
 
-#: Optional latency fault hook (``docs/FAULTS.md``): when set, every
-#: computed loaded latency passes through it, letting a fault injector
-#: model tail-latency spikes and transient device stalls without the
-#: substrate knowing about fault plans.  ``None`` (the default) is the
-#: fault-free fast path.  Install via :func:`set_latency_fault_hook`;
-#: the hook lives in this process only - pool workers never see it.
-_LATENCY_FAULT_HOOK: Optional[
-    Callable[[MemoryDeviceConfig, float], float]] = None
+#: Optional latency fault hook (``docs/FAULTS.md``).  The solver asks
+#: it once per (run, tier) when a solve starts, passing the tier name
+#: (``"dram"`` or the slow device's name, as :class:`~repro.uarch.
+#: interleave.Placement` names them); it returns ``(scale, add_ns)``,
+#: and every evaluation of that solve uses ``loaded * scale + add_ns``
+#: as the tier's loaded latency.  A fault so drawn inflates the tier
+#: for the whole run, the way the paper's tail-latency effect does.
+#: The kernels below never read it, so probes and analytic predictors
+#: see nominal latency.  ``None`` (the default) is the fault-free
+#: path.  Install via :func:`set_latency_fault_hook`; the hook lives in
+#: this process only - pool workers never see it.
+LatencyFaultHook = Callable[[str], Tuple[float, float]]
+_LATENCY_FAULT_HOOK: Optional[LatencyFaultHook] = None
 
 
-def set_latency_fault_hook(
-        hook: Optional[Callable[[MemoryDeviceConfig, float], float]]
-) -> Optional[Callable[[MemoryDeviceConfig, float], float]]:
+def set_latency_fault_hook(hook: Optional[LatencyFaultHook]
+                           ) -> Optional[LatencyFaultHook]:
     """Install (or clear, with ``None``) the latency fault hook.
 
     Returns the previously-installed hook so injectors can restore it,
@@ -97,10 +101,7 @@ def loaded_latency_ns(device: MemoryDeviceConfig, utilization: float,
         1.0 + _QUEUE_EPSILON - u)
         + device.queue_gain * 0.12 * (over_knee * over_knee))
     tail = device.tail_alpha * min(max(tail_sensitivity, 0.0), 1.0)
-    latency_ns = base * (1.0 + linear + queue) * (1.0 + tail)
-    if _LATENCY_FAULT_HOOK is not None:
-        latency_ns = _LATENCY_FAULT_HOOK(device, latency_ns)
-    return latency_ns
+    return base * (1.0 + linear + queue) * (1.0 + tail)
 
 
 #: Upper bound on the saturation multiplier (guards pathological specs).
@@ -131,19 +132,6 @@ def updated_escalation(escalation: float, device: MemoryDeviceConfig,
     # and the batched solver must replay this path bit-for-bit.
     new = escalation * float(np.power(ratio, _ESCALATION_GAIN))
     return min(MAX_ESCALATION, max(1.0, new))
-
-
-def rfo_latency_ns(device: MemoryDeviceConfig, utilization: float,
-                   tail_sensitivity: float = 0.0) -> float:
-    """Read-for-Ownership latency: the full read path plus device RFO cost.
-
-    On CXL the coherence round trip is costlier than a plain read; the
-    device's ``rfo_latency_factor`` scales the loaded read latency, which
-    reproduces the paper's observation that RFO latency grows 2-3x when
-    moving stores from DRAM to CXL.
-    """
-    return loaded_latency_ns(device, utilization,
-                             tail_sensitivity) * device.rfo_latency_factor
 
 
 def utilization_for_bandwidth(device: MemoryDeviceConfig,
@@ -199,8 +187,7 @@ class DeviceLanes:
 
 def loaded_latency_ns_batch(lanes: DeviceLanes, utilization: np.ndarray,
                             tail_sensitivity: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`loaded_latency_ns`, without the fault hook:
-    the batched solver applies an installed hook per lane itself."""
+    """Vectorized :func:`loaded_latency_ns`."""
     u = np.minimum(np.maximum(utilization, 0.0), MAX_UTILIZATION)
     base = lanes.idle_latency_ns
     linear = 0.20 * u
@@ -242,113 +229,3 @@ def measure_idle_latency_ns(device: MemoryDeviceConfig) -> float:
     which equals the configured idle latency.
     """
     return loaded_latency_ns(device, 0.0)
-
-
-@dataclass
-class TierLoad:
-    """Mutable per-tier traffic ledger used by the closed-loop solver.
-
-    ``own_gbps`` is the traffic of the workload being solved;
-    ``external_gbps`` is traffic from colocated workloads sharing the
-    device (interference).  Latency is computed from the sum.
-    """
-
-    device: MemoryDeviceConfig
-    own_gbps: float = 0.0
-    external_gbps: float = 0.0
-
-    @property
-    def total_gbps(self) -> float:
-        return self.own_gbps + self.external_gbps
-
-    @property
-    def utilization(self) -> float:
-        return utilization_for_bandwidth(self.device, self.total_gbps)
-
-    def latency_ns(self, tail_sensitivity: float = 0.0) -> float:
-        return loaded_latency_ns(self.device, self.utilization,
-                                 tail_sensitivity)
-
-    def rfo_ns(self, tail_sensitivity: float = 0.0) -> float:
-        return rfo_latency_ns(self.device, self.utilization,
-                              tail_sensitivity)
-
-
-@dataclass(frozen=True)
-class BlendedMemory:
-    """Latency/bandwidth view of an interleaved DRAM+slow-tier placement.
-
-    ``dram_fraction`` is the paper's ``x``: the fraction of the footprint
-    (and, under weighted interleaving, of the requests) served by DRAM.
-    The remaining ``1 - x`` goes to ``slow``.  A pure-DRAM placement has
-    ``x = 1``; a pure-CXL one has ``x = 0``.
-    """
-
-    dram: TierLoad
-    slow: Optional[TierLoad]
-    dram_fraction: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.dram_fraction <= 1.0:
-            raise ValueError("dram_fraction must be within [0, 1]")
-        if self.slow is None and self.dram_fraction < 1.0:
-            raise ValueError("a slow tier is required when x < 1")
-
-    def read_latency_ns(self, tail_sensitivity: float = 0.0) -> float:
-        """Request-weighted mean read latency across the two tiers."""
-        x = self.dram_fraction
-        lat = x * self.dram.latency_ns(0.0)
-        if self.slow is not None and x < 1.0:
-            lat += (1.0 - x) * self.slow.latency_ns(tail_sensitivity)
-        return lat
-
-    def rfo_latency_ns(self, tail_sensitivity: float = 0.0) -> float:
-        """Request-weighted mean RFO latency across the two tiers."""
-        x = self.dram_fraction
-        lat = x * self.dram.rfo_ns(0.0)
-        if self.slow is not None and x < 1.0:
-            lat += (1.0 - x) * self.slow.rfo_ns(tail_sensitivity)
-        return lat
-
-    def distribute(self, total_gbps: float) -> None:
-        """Assign this workload's traffic to the tiers by footprint share.
-
-        Under weighted interleaving the per-tier request share tracks the
-        footprint share within ~2% (paper 5.2); we apply the split
-        exactly and let the caller add any deviation it wants to model.
-        """
-        x = self.dram_fraction
-        self.dram.own_gbps = total_gbps * x
-        if self.slow is not None:
-            self.slow.own_gbps = total_gbps * (1.0 - x)
-
-    @property
-    def aggregate_peak_gbps(self) -> float:
-        """Combined peak bandwidth reachable at this interleave ratio.
-
-        The effective ceiling is limited by the ratio: traffic is pinned
-        to tiers by page placement, so a 90:10 split cannot exploit the
-        slow tier's full bandwidth.
-        """
-        x = self.dram_fraction
-        dram_peak = self.dram.device.peak_bandwidth_gbps
-        if self.slow is None or x >= 1.0:
-            return dram_peak
-        if x <= 0.0:
-            return self.slow.device.peak_bandwidth_gbps
-        slow_peak = self.slow.device.peak_bandwidth_gbps
-        # The binding constraint is whichever tier saturates first given
-        # the fixed x : (1-x) split.
-        return min(dram_peak / x, slow_peak / (1.0 - x))
-
-
-def lines_per_second(bandwidth_gbps: float) -> float:
-    """Convert GB/s of cacheline traffic to lines/second."""
-    return bandwidth_gbps * 1e9 / CACHELINE_BYTES
-
-
-def gbps_from_lines(lines: float, seconds: float) -> float:
-    """Convert a cacheline count over a duration to GB/s."""
-    if seconds <= 0:
-        return 0.0
-    return lines * CACHELINE_BYTES / seconds / 1e9

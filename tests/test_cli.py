@@ -175,3 +175,69 @@ class TestDynamicsCommand:
         assert code == 0
         assert "best-shot" in out and "colloid" in out
         assert "converged@" in out
+
+
+class TestCacheCommand:
+    """Every ``repro cache`` action against a store the executor
+    filled (docs/STORE.md)."""
+
+    @staticmethod
+    def fields(out):
+        return {name.strip(): value.strip() for name, value in
+                (line.split(":", 1) for line in out.splitlines())}
+
+    def test_every_action(self, capsys, tmp_path):
+        from repro.runtime import warmstore
+        from repro.runtime.executor import Executor
+        from repro.runtime.spec import RunSpec
+        from repro.runtime.store import ResultStore
+        from repro.uarch import SKX2S, Machine, Placement
+        from repro.uarch.machine import WarmStartCache
+        from repro.workloads import get_workload
+
+        root = tmp_path / "cache"
+        machine = Machine(SKX2S)
+        specs = [RunSpec.from_machine(machine, get_workload(name), placement)
+                 for name in ("605.mcf", "557.xz")
+                 for placement in (Placement.dram_only(),
+                                   Placement.slow_only("cxl-a"))]
+        warm = WarmStartCache()
+        machine.run_batch([(spec.workload, spec.placement)
+                           for spec in specs],
+                          accelerate=True, warm_cache=warm)
+        with ResultStore(root) as store:
+            Executor(store=store).run(specs)
+            warmstore.save_warm_cache(store, warm)
+        cache_dir = ("--cache-dir", str(root))
+
+        code, out = run_cli(capsys, "cache", "info", *cache_dir)
+        info = self.fields(out)
+        assert code == 0
+        assert int(info["entries"]) == len(specs) + 1   # + the snapshot
+        assert int(info["corrupt"]) == 0
+        assert int(info["warm points"]) == warm.points_recorded > 0
+        assert "legacy" not in out
+
+        code, out = run_cli(capsys, "cache", "compact", *cache_dir)
+        assert code == 0
+        assert f"{len(specs) + 1} entries live" in out
+
+        code, out = run_cli(capsys, "cache", "warm-info", *cache_dir)
+        assert code == 0
+        assert int(self.fields(out)["points"]) == warm.points_recorded
+
+        code, out = run_cli(capsys, "cache", "warm-clear", *cache_dir)
+        assert code == 0
+        assert out.strip() == "cleared warm-start snapshot"
+        code, out = run_cli(capsys, "cache", "warm-info", *cache_dir)
+        assert int(self.fields(out)["points"]) == 0
+
+        code, out = run_cli(capsys, "cache", "clear", *cache_dir)
+        assert code == 0
+        assert out.startswith(f"cleared {len(specs)} entries")
+        code, out = run_cli(capsys, "cache", "info", *cache_dir)
+        assert int(self.fields(out)["entries"]) == 0
+
+    def test_migrate_action_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cache", "migrate"])

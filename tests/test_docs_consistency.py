@@ -110,7 +110,7 @@ class TestSolverDoc:
                      "Anderson", "MIN_BATCH_GROUP", "replay_resolves",
                      "nonconverged_results", "run_colocated",
                      "run_colocated_groups", "pack-once",
-                     "scalar-fallback", "CACHE_SCHEMA_VERSION"):
+                     "CACHE_SCHEMA_VERSION"):
             assert term in solver, f"{term!r} missing from SOLVER.md"
 
     def test_documents_the_real_tolerance(self):
@@ -162,7 +162,7 @@ class TestStoreDoc:
     def test_exists_and_covers_the_contract(self):
         store = read("docs/STORE.md")
         for term in ("CAMPSEG1", "CREC", "RECORD_HEADER", "CRC",
-                     "tombstone", "compact", "torn", "LegacyJsonStore",
+                     "tombstone", "compact", "torn",
                      "CACHE_SCHEMA_VERSION", "marshal",
                      "get_many", "put_many"):
             assert term in store, f"{term!r} missing from STORE.md"

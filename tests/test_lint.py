@@ -426,9 +426,11 @@ class TestDtype01:
         assert not findings_for("DTYPE01", self.GOOD_F64,
                                 "src/repro/uarch/fake.py")
 
-    def test_sanctioned_fastpath_module_is_exempt(self):
-        assert not findings_for("DTYPE01", self.BAD_ASTYPE,
-                                "src/repro/uarch/fastpath.py")
+    def test_no_module_is_exempt(self):
+        # The float32 pre-pass module that was once sanctioned is gone;
+        # its old path gets no pass either.
+        assert rules_hit("DTYPE01", self.BAD_ASTYPE,
+                         "src/repro/uarch/fastpath.py") == ["DTYPE01"]
 
     def test_applies_outside_uarch_too(self):
         assert rules_hit("DTYPE01", self.BAD_DTYPE_KWARG,

@@ -12,8 +12,11 @@ The contract under test (docs/OBSERVABILITY.md):
   timestamps.
 """
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
@@ -291,12 +294,48 @@ class TestTraceCli:
         assert active_tracer() is None
 
 
+def fake_bench_payload(**medians):
+    return {"benches": [
+        {"name": name, "median_s": median}
+        for name, median in medians.items()]}
+
+
+@pytest.fixture(scope="module")
+def bench_cli(tmp_path_factory):
+    """The one full ``repro bench`` run every bench test shares.
+
+    It runs through the CLI with ``--out`` and with ``--compare``
+    against an absurdly fast baseline, so every case is a regression;
+    ``run_bench``'s own return value is recorded alongside.
+    """
+    from repro.obs import bench
+    root = tmp_path_factory.mktemp("bench")
+    out = root / "BENCH_runtime.json"
+    baseline = root / "baseline.json"
+    baseline.write_text(json.dumps(fake_bench_payload(
+        machine_simulate=1e-9)))
+    returned = []
+    real_run_bench = bench.run_bench
+
+    def recording_run_bench(**kwargs):
+        returned.append(real_run_bench(**kwargs))
+        return returned[-1]
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            redirect_stdout(stdout), redirect_stderr(stderr):
+        patch.setattr(bench, "run_bench", recording_run_bench)
+        code = main(["bench", "--repeats", "1", "--out", str(out),
+                     "--compare", str(baseline)])
+    return SimpleNamespace(code=code, out=out, result=returned[0],
+                           stdout=stdout.getvalue(),
+                           stderr=stderr.getvalue())
+
+
 class TestBench:
-    @pytest.fixture(scope="class")
-    def payload(self, tmp_path_factory):
-        from repro.obs.bench import run_bench
-        out = tmp_path_factory.mktemp("bench") / "BENCH_runtime.json"
-        return run_bench(repeats=1, out=out), out
+    @pytest.fixture()
+    def payload(self, bench_cli):
+        return bench_cli.result, bench_cli.out
 
     def test_schema_and_cases(self, payload):
         result, _ = payload
@@ -309,7 +348,7 @@ class TestBench:
             "solver_sweep_batch", "solver_sweep_warm",
             "solver_suite_loop", "solver_suite_batch",
             "suite_groups", "suite_onebatch", "suite_accel",
-            "solver_f32", "warm_persist_cold",
+            "warm_persist_cold",
             "lint_cold", "lint_warm", "fleet_pairwise_loop",
             "fleet_shard", "fleet_tournament"]
         for case in result["benches"]:
@@ -341,9 +380,8 @@ class TestBench:
         # baseline pins the headline >=5x target.
         assert population["onebatch_speedup"] > 1.0
         assert population["onebatch_replay_identical"] is True
-        # The f32 pre-pass actually ran, and the cold-process warm
-        # start found its persisted points (hit rate > 0).
-        assert population["f32_iterations"] > 0
+        # The cold-process warm start found its persisted points
+        # (hit rate > 0).
         assert population["warm_cold_points_loaded"] > 0
         assert population["warm_cold_seeds_used"] > 0
         assert population["nonconverged"] == 0
@@ -380,14 +418,11 @@ class TestBench:
         with pytest.raises(ValueError):
             run_bench(repeats=0)
 
-    def test_cli_writes_the_payload(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_runtime.json"
-        assert main(["bench", "--repeats", "1",
-                     "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "bench schema" in captured.out
-        assert "machine_simulate" in captured.out
-        assert json.loads(out.read_text())["benches"]
+    def test_cli_writes_the_payload(self, bench_cli):
+        assert bench_cli.code == 0
+        assert "bench schema" in bench_cli.stdout
+        assert "machine_simulate" in bench_cli.stdout
+        assert json.loads(bench_cli.out.read_text())["benches"]
 
     def test_cli_rejects_zero_repeats(self, capsys):
         with pytest.raises(SystemExit):
@@ -399,9 +434,7 @@ class TestCompareBench:
     """Trajectory diffs: warn on slowdowns, never gate the bench."""
 
     def fake_payload(self, **medians):
-        return {"benches": [
-            {"name": name, "median_s": median}
-            for name, median in medians.items()]}
+        return fake_bench_payload(**medians)
 
     def test_self_compare_is_clean(self):
         from repro.obs.bench import compare_bench
@@ -434,19 +467,19 @@ class TestCompareBench:
         assert "fresh" in text
         assert "retired" in text
 
-    def test_cli_compare_warns_but_exits_zero(self, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        # An absurdly fast baseline makes every case a regression; the
-        # exit code must stay 0 regardless.
-        baseline.write_text(json.dumps(self.fake_payload(
-            machine_simulate=1e-9)))
-        assert main(["bench", "--repeats", "1",
-                     "--compare", str(baseline)]) == 0
-        err = capsys.readouterr().err
+    def test_cli_compare_warns_but_exits_zero(self, bench_cli):
+        # The shared run compared against an absurdly fast baseline,
+        # which makes every case a regression; the exit code must
+        # stay 0 regardless.
+        assert bench_cli.code == 0
+        err = bench_cli.stderr
         assert "bench compare: regression: machine_simulate" in err
 
-    def test_cli_compare_missing_baseline_is_nonfatal(self, capsys,
-                                                      tmp_path):
+    def test_cli_compare_missing_baseline_is_nonfatal(
+            self, capsys, tmp_path, monkeypatch, bench_cli):
+        from repro.obs import bench
+        monkeypatch.setattr(bench, "run_bench",
+                            lambda **kwargs: bench_cli.result)
         missing = tmp_path / "nope.json"
         assert main(["bench", "--repeats", "1",
                      "--compare", str(missing)]) == 0

@@ -3,9 +3,8 @@
 docs/STORE.md promises: an append-only segment log whose records are
 self-validating (magic + CRC + schema + embedded key), corruption-as-
 miss (a damaged cache can cost time, never correctness), crash
-recovery on open (torn tails truncated, killed compactions and
-migrations resumed), explicit invalidation, and a one-shot migration
-from the retired per-entry JSON layout (:class:`LegacyJsonStore`).
+recovery on open (torn tails truncated, killed compactions resumed),
+and explicit invalidation.
 """
 
 import json
@@ -19,8 +18,8 @@ from repro.faults import ChaosStore, FaultPlan, StoreFault
 from repro.runtime.serde import payload_to_bytes
 from repro.runtime.spec import CACHE_SCHEMA_VERSION
 from repro.runtime.store import (DEFAULT_CACHE_DIRNAME, SEGMENT_MAGIC,
-                                 LegacyJsonStore, ResultStore,
-                                 default_cache_dir, encode_record)
+                                 ResultStore, default_cache_dir,
+                                 encode_record)
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -238,6 +237,28 @@ class TestCrashConsistency:
         fresh.put(THIRD, {"round": 100})
         assert fresh.get(THIRD) == {"round": 100}
 
+    def test_torn_tail_recovery_counts_each_damaged_record_once(
+            self, root):
+        # A CRC-damaged record, then a torn tail: open-time recovery
+        # cuts the tail, and later refreshes must not rescan the file
+        # and count the damaged record again.
+        segment_dir = root / "segments"
+        segment_dir.mkdir(parents=True)
+        damaged = bytearray(encode_record(
+            KEY, payload_to_bytes({"cycles": 1}), CACHE_SCHEMA_VERSION))
+        damaged[-1] ^= 0xFF
+        good = encode_record(OTHER, payload_to_bytes({"cycles": 2}),
+                             CACHE_SCHEMA_VERSION)
+        torn = encode_record(THIRD, payload_to_bytes({"cycles": 3}),
+                             CACHE_SCHEMA_VERSION)[:25]
+        (segment_dir / "seg-00000001-aaaa.open").write_bytes(
+            SEGMENT_MAGIC + bytes(damaged) + good + torn)
+        fresh = reopen(root)
+        assert len(fresh) == 1
+        assert len(fresh) == 1
+        assert fresh.stats.corrupt == 2
+        assert fresh.get(OTHER) == {"cycles": 2}
+
     def test_killed_compaction_temp_removed_on_open(self, store, root):
         store.put(KEY, {"cycles": 1})
         leftover = store.segment_dir / ".compact-stale.tmp"
@@ -316,15 +337,6 @@ class TestInvalidation:
         store.put(KEY, {"a": 1})
         assert store.get(KEY) == {"a": 1}
 
-    def test_clear_removes_legacy_entries_too(self, root):
-        legacy = LegacyJsonStore(root)
-        legacy.put(KEY, {"a": 1})
-        store = ResultStore(root, migrate_legacy=False)
-        store.put(OTHER, {"b": 2})
-        assert store.clear() == 2
-        assert len(legacy) == 0
-        assert not (root / KEY[:2]).exists()
-
 
 class TestCompaction:
     def test_compact_reclaims_dead_space(self, store):
@@ -355,48 +367,21 @@ class TestCompaction:
         assert store.stats.compactions == 0
 
 
-class TestMigration:
-    def populate_legacy(self, root, count=3):
-        legacy = LegacyJsonStore(root)
-        items = [(key_n(i), {"round": i}) for i in range(count)]
-        for key, payload in items:
-            legacy.put(key, payload)
-        return items
-
-    def test_legacy_entries_imported_on_open(self, root):
-        items = self.populate_legacy(root)
-        store = ResultStore(root)
-        assert len(store) == 3
-        assert store.stats.migrated == 3
-        for key, payload in items:
-            assert store.get(key) == payload
-        # The legacy files and their fan-out buckets are gone.
-        assert len(LegacyJsonStore(root)) == 0
-        assert [p for p in root.iterdir() if p.name != "segments"] == []
-
-    def test_damaged_legacy_entries_rejected(self, root):
-        self.populate_legacy(root)
+class TestOldLayout:
+    def test_files_outside_segments_are_ignored(self, root):
+        # A root left by the retired per-entry JSON layout: the store
+        # neither reads nor touches it, so it can simply be deleted.
         bucket = root / KEY[:2]
-        bucket.mkdir(parents=True, exist_ok=True)
-        (bucket / f"{KEY}.json").write_text("\x00\xffnot json")
-        stale = "cd" + "9" * 62
-        (root / stale[:2]).mkdir(exist_ok=True)
-        (root / stale[:2] / f"{stale}.json").write_text(json.dumps(
-            {"key": stale, "schema": CACHE_SCHEMA_VERSION - 1,
-             "payload": {"cycles": 1}}))
+        bucket.mkdir(parents=True)
+        entry = bucket / f"{KEY}.json"
+        entry.write_text(json.dumps({"key": KEY, "schema": 2,
+                                     "payload": {"cycles": 1}}))
         store = ResultStore(root)
-        assert len(store) == 3
-        assert store.stats.migrated == 3
-        assert store.stats.corrupt == 2
-        assert store.get(KEY) is None
-        assert store.get(stale) is None
-        assert len(LegacyJsonStore(root)) == 0
-
-    def test_migration_can_be_disabled(self, root):
-        self.populate_legacy(root)
-        store = ResultStore(root, migrate_legacy=False)
         assert len(store) == 0
-        assert len(LegacyJsonStore(root)) == 3
+        assert store.get(KEY) is None
+        store.put(OTHER, {"b": 2})
+        assert store.clear() == 1
+        assert entry.exists()
 
 
 def _writer(root, key, rounds):
