@@ -11,7 +11,7 @@ Fig. 14   :func:`fig14_interleaving_model_accuracy`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,7 @@ from ..uarch.machine import component_slowdowns, slowdown
 from ..workloads.spec import WorkloadSpec
 from ..workloads.suites import bandwidth_bound_twenty, get_workload
 from .lab import Lab, bandwidth_lab
-from .stats import fraction_within, pearson
+from .stats import fraction_within
 
 #: Default ratio sweep: the paper profiles 101 ratios (100:0 .. 0:100).
 DEFAULT_RATIOS: Tuple[float, ...] = tuple(np.linspace(1.0, 0.0, 101))

@@ -22,7 +22,7 @@ from ..runtime import serde, warmstore
 from ..runtime.executor import Executor
 from ..runtime.spec import RunSpec
 from ..runtime.store import ResultStore
-from ..uarch.config import PlatformConfig, get_platform
+from ..uarch.config import get_platform
 from ..uarch.interleave import Placement
 from ..uarch.machine import Machine, RunResult, WarmStartCache
 from ..workloads.spec import WorkloadSpec
@@ -266,10 +266,12 @@ class Lab:
         if not missing or store is None or \
                 self.executor.fault_plan is not None:
             return missing
-        fingerprints = {
-            index: RunSpec.from_machine(machine, workload,
-                                        placements[index]).fingerprint()
-            for index in missing}
+        specs = {index: RunSpec.from_machine(machine, workload,
+                                             placements[index])
+                 for index in missing}
+        fragments: Dict[int, str] = {}
+        fingerprints = {index: spec.fingerprint(fragments)
+                        for index, spec in specs.items()}
         found = store.get_many(sorted(set(fingerprints.values())))
         if not found:
             return missing
@@ -280,7 +282,7 @@ class Lab:
                 still.append(index)
             else:
                 self._runs[keys[index]] = \
-                    serde.run_result_from_dict(payload)
+                    serde.run_result_from_dict(payload, specs[index])
         self.executor.telemetry.count("sweep_seed_hits",
                                       len(missing) - len(still))
         return still

@@ -13,17 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.metrics import mpki
 from ..core.signature import signature
 from ..core.slowdown import SlowdownPredictor
 from ..policies import (TieringContext, compare_policies, fig15_policies,
                         mixed_colocation, schedule_by_camp,
                         schedule_by_mpki)
-from ..policies.colocation import ColocationOutcome, MixedColocationOutcome
+from ..policies.colocation import ColocationOutcome
 from ..uarch.interleave import Placement
-from ..uarch.machine import slowdown
 from ..workloads.spec import WorkloadSpec
 from ..workloads.suites import (bandwidth_bound_eight, colocation_pairs,
                                 get_workload)

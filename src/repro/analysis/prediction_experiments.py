@@ -26,19 +26,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cache import measured_cache_slowdown
 from ..core.counters import ProfiledRun
-from ..core.drd import measured_drd_slowdown, measured_tolerance
+from ..core.drd import measured_tolerance
 from ..core.metrics import BASELINE_METRICS
 from ..core.signature import Signature, signature
-from ..core.store import measured_store_slowdown
 from ..uarch.interleave import Placement
 from ..uarch.machine import component_slowdowns, slowdown
 from ..workloads.phases import tc_kron_phased
 from ..workloads.spec import WorkloadSpec
 from .lab import Lab, REPORT_TIERS, default_lab
-from .stats import (AccuracySummary, accuracy_summary, cdf_points,
-                    pearson, percentile_row)
+from .stats import AccuracySummary, accuracy_summary, pearson, percentile_row
 
 
 # ---------------------------------------------------------------------------

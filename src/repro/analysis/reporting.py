@@ -7,7 +7,7 @@ ASCII tables, CDF summaries, and paper-vs-measured comparison rows.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

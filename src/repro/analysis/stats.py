@@ -7,7 +7,7 @@ series, empty arrays) so experiment code never trips over edge cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 

@@ -22,7 +22,6 @@ The exported pieces:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .signature import Signature

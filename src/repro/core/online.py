@@ -24,7 +24,7 @@ phase change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .calibration import Calibration
 from .counters import CounterSample, ProfiledRun

@@ -227,28 +227,44 @@ def run_chaos(schedule: str = "default", seed: int = 0,
     _merge_counts(injected, counter_injector.injected)
 
     # -- phase 3: store damage ----------------------------------------------
+    # Store faults are drawn per key, so the phase writes every workload
+    # on DRAM and slow-only on every device: enough entries for the
+    # schedule's odds to strike whatever the keys hash to.
+    store_specs = [RunSpec.from_machine(machine, w, placement)
+                   for w in workloads
+                   for placement in ([Placement.dram_only()] +
+                                     [Placement.slow_only(name)
+                                      for name in DEVICES])]
+    clean_by_key = {spec.fingerprint(): payload
+                    for spec, payload in zip(all_specs, clean_payloads)}
     with telemetry.stage("chaos.store", schedule=schedule), \
             tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         chaos_root = pathlib.Path(tmp) / "store"
         chaos_store = ChaosStore(chaos_root, plan)
         seeder = Executor(jobs=1, store=chaos_store)
-        seeder.run(all_specs, label="chaos:store-seed")
+        seeded = _payloads(seeder.run(store_specs,
+                                      label="chaos:store-seed"))
         telemetry.merge(seeder.telemetry)
 
         reader_store = ResultStore(chaos_root)
         reader = Executor(jobs=1, store=reader_store)
-        reread = reader.run(all_specs, label="chaos:store-verify")
+        reread = _payloads(reader.run(store_specs,
+                                      label="chaos:store-verify"))
         telemetry.merge(reader.telemetry)
 
+        store_keys = [spec.fingerprint() for spec in store_specs]
         damaged = (chaos_store.injected.get("store_corrupt", 0) +
                    chaos_store.injected.get("store_truncate", 0))
         _merge_counts(injected, chaos_store.injected)
         invariants["store_corruption_is_miss"] = (
             reader_store.stats.corrupt == damaged)
         invariants["store_recovers_clean_results"] = (
-            _payloads(reread) == clean_payloads)
+            reread == seeded and
+            all(payload == clean_by_key[key]
+                for key, payload in zip(store_keys, reread)
+                if key in clean_by_key))
         invariants["store_entries_rewritten"] = all(
-            spec.fingerprint() in reader_store for spec in all_specs)
+            key in reader_store for key in store_keys)
 
     # -- phase 4: tier latency faults ---------------------------------------
     # A run draws one fault per tier, so every workload runs slow-only

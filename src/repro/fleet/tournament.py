@@ -39,9 +39,8 @@ from ..uarch.interleave import Placement
 from ..uarch.machine import Machine
 from ..workloads.spec import WorkloadSpec
 from ..workloads.suites import evaluation_suite
-from .population import (ARRIVAL_SCHEDULES, DEFAULT_GROUP_SIZE,
-                         FleetPhase, NodeConfig, draw_fleet,
-                         node_active, schedule_weights)
+from .population import (ARRIVAL_SCHEDULES, DEFAULT_GROUP_SIZE, FleetPhase,
+                         draw_fleet, node_active, schedule_weights)
 from .report import FLEET_SCHEMA, FleetReport, PolicyStanding
 
 #: The tournament lineup, reporting every policy the paper's section 6

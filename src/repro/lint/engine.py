@@ -26,8 +26,7 @@ import ast
 import dataclasses
 import pathlib
 import re
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Inline, line-scoped suppression directive.
 _SUPPRESS_LINE = re.compile(r"camp-lint:\s*disable=([A-Z0-9_,\s]*[A-Z0-9])")

@@ -21,7 +21,7 @@ assignment whose value is a numpy array allocator is flagged.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set
 
 from ..engine import FileContext, Finding, Rule
 from .determinism import _ImportMap, _dotted

@@ -19,8 +19,8 @@ chooses to use only 62-74% of it.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..uarch.interleave import Placement
 from ..uarch.machine import Machine, RunResult

@@ -18,7 +18,7 @@ also protects against *harmful* configurations (section 6.1).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

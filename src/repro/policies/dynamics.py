@@ -24,13 +24,13 @@ with a new target placement, rate-limited by the migration budget.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..core.calibration import Calibration
 from ..core.interleaving import synthesize
 from ..uarch.interleave import Placement
-from ..uarch.machine import Machine, RunResult
+from ..uarch.machine import Machine
 from ..workloads.spec import WorkloadSpec
 
 #: Sustained page-migration copy bandwidth (GB/s).  Kernel migration

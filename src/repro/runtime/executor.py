@@ -18,9 +18,11 @@ It layers three caches and one pool:
    any pool failure fall back transparently).
 
 Results always return in input order, independent of completion order,
-and every result - hit or miss, serial or parallel - passes through the
-same JSON round-trip (:mod:`repro.runtime.serde`), which is what makes
-``-j 1`` and ``-j 4`` outputs byte-identical, cold and warm.
+and every result - hit or miss, serial or parallel - takes the same
+round trip through its stored payload (:mod:`repro.runtime.serde`): the
+solved fields are encoded, then decoded onto the spec's own workload,
+placement and platform objects.  That is what makes ``-j 1`` and
+``-j 4`` outputs byte-identical, cold and warm.
 
 Failure handling follows the taxonomy of :mod:`repro.runtime.errors`
 (full story: ``docs/FAULTS.md``):
@@ -103,13 +105,13 @@ def default_jobs() -> int:
 
 
 def execute_run_spec(spec: RunSpec) -> Dict[str, Any]:
-    """Execute one spec and return its serialized payload.
+    """Execute one spec and return its stored payload.
 
     Module-level so process-pool workers can import it by reference;
-    returning the serialized form keeps a single decode path for cached
+    returning the stored form keeps a single decode path for cached
     and fresh results.
     """
-    return serde.run_result_to_dict(spec.execute())
+    return serde.run_result_to_payload(spec.execute())
 
 
 def _indexed_execute(item: Tuple[int, RunSpec]) -> Tuple[int, Dict[str, Any]]:
@@ -129,7 +131,7 @@ def _batch_execute(chunk: List[Tuple[int, RunSpec]]
     """
     if len(chunk) >= MIN_BATCH_GROUP:
         results = Machine.run_batch_multi([spec for _, spec in chunk])
-        return [(index, serde.run_result_to_dict(result))
+        return [(index, serde.run_result_to_payload(result))
                 for (index, _), result in zip(chunk, results)]
     return [(index, execute_run_spec(spec)) for index, spec in chunk]
 
@@ -402,7 +404,11 @@ class Executor:
         reporter = ProgressReporter(len(specs), label=label,
                                     enabled=self.progress)
         with self.telemetry.stage("hash"):
-            keys = [spec.fingerprint() for spec in specs]
+            # One fragment memo per batch: each workload, platform,
+            # device and placement object is serialized once; ``specs``
+            # keeps them alive while the memo is keyed by their ids.
+            fragments: Dict[int, str] = {}
+            keys = [spec.fingerprint(fragments) for spec in specs]
 
         payloads: List[Optional[Dict[str, Any]]] = []
         pending: List[Tuple[int, RunSpec]] = []
@@ -456,8 +462,8 @@ class Executor:
         reporter.finish()
 
         with self.telemetry.stage("decode"):
-            results = [serde.run_result_from_dict(payload)
-                       for payload in payloads]
+            results = [serde.run_result_from_dict(payload, spec)
+                       for payload, spec in zip(payloads, specs)]
             # Surface solver-cap exhaustion (docs/SOLVER.md): a result
             # whose fixed point hit the iteration cap is still returned,
             # but never silently.
@@ -538,7 +544,7 @@ class Executor:
             results = Machine.run_batch_multi(specs)
         self.telemetry.count("batched_solves")
         for (index, _), result in zip(pending, results):
-            payload = serde.run_result_to_dict(result)
+            payload = serde.run_result_to_payload(result)
             reporter.update(hits=self.hit_count,
                             misses=self.miss_count)
             yield index, payload

@@ -21,6 +21,12 @@ Cache-key recipe (documented in ``docs/RUNTIME.md``):
 3. Serialize with :func:`canonical_json` (sorted keys, no whitespace,
    shortest-round-trip floats) and take the SHA-256 hex digest.
 
+:meth:`RunSpec.fingerprint` produces exactly those bytes without
+building the nested dict: it splices each object's canonical-JSON
+fragment into the top-level layout, and a batch shares one fragment
+memo so each workload, platform, device and placement object is
+serialized once per batch rather than once per spec.
+
 Any field change - a different device, thread count, queue knee, noise
 level - therefore yields a different key, while re-describing the same
 run always finds the same entry.
@@ -31,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..uarch.config import MemoryDeviceConfig, PlatformConfig
 from ..uarch.interleave import Placement
@@ -45,7 +51,9 @@ from . import serde
 #: replay contract (docs/SOLVER.md) shifts results at the ulp level.
 #: 3: segment-backed store (docs/STORE.md) — payloads move from
 #: per-entry JSON files into CRC-checked binary segment records.
-CACHE_SCHEMA_VERSION = 3
+#: 4: a run payload holds only the solved fields; the spec the key
+#: pins supplies the workload, placement and platform on decode.
+CACHE_SCHEMA_VERSION = 4
 
 
 def code_version() -> str:
@@ -54,15 +62,34 @@ def code_version() -> str:
     return f"{__version__}+schema{CACHE_SCHEMA_VERSION}"
 
 
+#: ``json.dumps`` builds an encoder like this one on every call; one
+#: shared instance (it holds no per-call state) skips that.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      allow_nan=False)
+
+
 def canonical_json(data: Any) -> str:
     """Deterministic JSON: sorted keys, compact separators."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return _CANONICAL_ENCODER.encode(data)
 
 
 def fingerprint(data: Any) -> str:
     """SHA-256 hex digest of ``data``'s canonical JSON form."""
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+
+
+def _fragment(memo: Dict[int, str], obj: Any,
+              to_dict: Callable[[Any], Dict[str, Any]]) -> str:
+    """``canonical_json(to_dict(obj))``, memoized by object identity.
+
+    Identity, not equality: ``instructions`` 2e9 and 2000000000 (or a
+    ``dram_fraction`` of 0.0 and -0.0) compare equal but serialize
+    differently, so equal objects must not share a fragment.
+    """
+    text = memo.get(id(obj))
+    if text is None:
+        text = memo[id(obj)] = canonical_json(to_dict(obj))
+    return text
 
 
 @dataclass(frozen=True)
@@ -118,8 +145,33 @@ class RunSpec:
             "seed": self.seed,
         }
 
-    def fingerprint(self) -> str:
-        return fingerprint(self.key_material())
+    def fingerprint(self, fragments: Optional[Dict[int, str]] = None
+                    ) -> str:
+        """``fingerprint(self.key_material())``, byte for byte.
+
+        The top-level keys are spliced in :func:`canonical_json`'s
+        sorted order around each object's canonical fragment.
+        ``fragments`` is a memo shared by the specs of one batch, keyed
+        by object identity: its owner must keep every object it has
+        seen alive while it uses the memo.  Without one, each fragment
+        is serialized here.
+        """
+        memo = fragments if fragments is not None else {}
+        slow = ("null" if self.slow_device is None else
+                _fragment(memo, self.slow_device, serde.device_to_dict))
+        text = "".join((
+            '{"kind":"run","noise":', canonical_json(self.noise),
+            ',"placement":',
+            _fragment(memo, self.placement, serde.placement_to_dict),
+            ',"platform":',
+            _fragment(memo, self.platform, serde.platform_to_dict),
+            ',"seed":', canonical_json(self.seed),
+            ',"slow_device":', slow,
+            ',"version":', canonical_json(code_version()),
+            ',"workload":',
+            _fragment(memo, self.workload, serde.workload_to_dict),
+            "}"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def execute(self) -> RunResult:
         """Run the simulation this spec describes (pure, in-process)."""

@@ -287,8 +287,8 @@ class QueryCoalescer:
 
         unsolved: List[str] = []
         answers: Dict[str, Dict[str, Any]] = {}
-        for key in lanes:
-            cached = self._lookup(key)
+        for key, members in lanes.items():
+            cached = self._lookup(key, batch[members[0]].spec)
             if cached is not None:
                 answers[key] = cached
             else:
@@ -317,7 +317,13 @@ class QueryCoalescer:
         return [outcome or Outcome("error", {"error": "unresolved lane"})
                 for outcome in outcomes]
 
-    def _lookup(self, key: str) -> Optional[Dict[str, Any]]:
+    def _lookup(self, key: str, spec: RunSpec
+                ) -> Optional[Dict[str, Any]]:
+        """The answer memoized or stored under ``key``, if any.
+
+        The store holds only the solved fields; a hit is expanded into
+        the full answer with the query's own spec.
+        """
         with self._memo_lock:
             memo = self._memo.get(key)
         if memo is not None:
@@ -335,9 +341,10 @@ class QueryCoalescer:
         except StoreError:
             self._count("store_errors")
             return None
-        if payload is not None:
-            self._count("store_hits")
-        return payload
+        if payload is None:
+            return None
+        self._count("store_hits")
+        return serde.expand_payload(payload, spec)
 
     def _solve_lanes(self, lanes: List[Tuple[str, RunSpec]]
                      ) -> Dict[str, Dict[str, Any]]:
@@ -371,8 +378,9 @@ class QueryCoalescer:
         self._count("lanes_solved", len(lanes))
         answers: Dict[str, Dict[str, Any]] = {}
         for (key, _spec), result in zip(lanes, results):
-            payload = serde.run_result_to_dict(result)
-            answers[key] = payload
+            payload = serde.run_result_to_payload(result)
+            answer = serde.expand_payload(payload, result)
+            answers[key] = answer
             if replay:
                 self._persist(key, payload)
             else:
@@ -380,7 +388,7 @@ class QueryCoalescer:
                 # byte-identical: memoize locally, never persist.
                 with self._memo_lock:
                     if len(self._memo) < MAX_MEMO_ENTRIES:
-                        self._memo[key] = payload
+                        self._memo[key] = answer
         return answers
 
     def _persist(self, key: str, payload: Dict[str, Any]) -> None:

@@ -23,7 +23,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 #: Schema tag on every SLO payload; bump on layout changes.
 SLO_SCHEMA = "repro-slo/1"

@@ -20,7 +20,7 @@ well.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from .generator import typical_mlp_headroom, typical_near_buffer
 from .spec import WorkloadSpec

@@ -15,7 +15,7 @@ behaves like the weighted union of its windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .spec import WorkloadSpec
 from .suites import get_workload

@@ -18,10 +18,9 @@ Two layers:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from .generator import (FAMILIES, generate_population,
-                        near_buffer_from_footprint, typical_mlp_headroom,
+from .generator import (generate_population, typical_mlp_headroom,
                         typical_near_buffer)
 from .spec import WorkloadSpec
 

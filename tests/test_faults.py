@@ -7,6 +7,7 @@ errors propagate), and prediction that survives any single missing
 Table 5 counter.
 """
 
+import marshal
 import math
 import pickle
 
@@ -437,6 +438,28 @@ class TestResilientExecutor:
         assert chaotic.telemetry.counters["pool_fallbacks"] == 1
         injected = chaotic.telemetry.counters["injected_crash"]
         assert 0 < injected < len(specs)
+
+    def test_serial_and_pool_agree_byte_for_byte_under_crashes(
+            self, machine):
+        # A fault plan sends -j 1 through per-spec serial retries and
+        # -j 2 through per-spec faulted pool tasks plus the serial
+        # remainder; both must serialize exactly like a clean run.
+        specs = specs_for(machine, ("605.mcf", "557.xz", "603.bwaves",
+                                    "619.lbm", "gpt-2", "xsbench"))
+        assert len(specs) >= 10
+
+        def encoded(results):
+            return [marshal.dumps(serde.run_result_to_dict(result), 4)
+                    for result in results]
+
+        clean = encoded(Executor(jobs=1).run(specs))
+        plan = FaultPlan(seed=0,
+                         worker_faults=(WorkerFault("crash", 0.5),))
+        for jobs in (1, 2):
+            chaotic = Executor(jobs=jobs, fault_plan=plan,
+                               retry=RetryPolicy(backoff_s=0.0))
+            assert encoded(chaotic.run(specs)) == clean, jobs
+            assert chaotic.telemetry.counters["injected_crash"] > 0
 
     def test_hang_past_timeout_falls_back(self, machine):
         specs = specs_for(machine, ("557.xz",))

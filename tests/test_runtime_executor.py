@@ -7,14 +7,19 @@ stdout — because every result passes through the same serde round trip
 and batches reassemble in input order.
 """
 
+import hashlib
+import marshal
+
 import pytest
 
 from repro.cli import main
+from repro.runtime import serde
 from repro.runtime.executor import Executor, default_jobs
 from repro.runtime.spec import RunSpec
 from repro.runtime.store import ResultStore
 from repro.uarch import Machine, Placement, SKX2S
 from repro.workloads import get_workload
+from tests.test_golden_digest import GOLDEN_DIGEST, population_specs
 
 WORKLOADS = ("605.mcf", "557.xz", "603.bwaves", "619.lbm", "gpt-2")
 
@@ -131,6 +136,36 @@ class TestCacheAccounting:
         second = Executor(store=store).calibration(machine, "numa")
         assert store.stats.writes == writes_after_first
         assert first.describe() == second.describe()
+
+
+class TestStoredPayloads:
+    """A stored run payload holds the solved fields; the spec supplies
+    the inputs, so cold and warm answers stay bit-identical."""
+
+    def test_cold_and_warm_runs_reproduce_the_golden_digest(
+            self, tmp_path):
+        # Cold: solved and stored.  Warm: a new store on the same
+        # directory serves every spec.
+        for expected_hits in (0, 265 * 3 * 3):
+            specs = population_specs()
+            executor = Executor(jobs=1, store=ResultStore(tmp_path))
+            results = executor.run(specs)
+            assert executor.telemetry.counters.get("store_hits", 0) == \
+                expected_hits
+            digest = hashlib.sha256()
+            for result in results:
+                digest.update(marshal.dumps(
+                    serde.run_result_to_dict(result), 4))
+            assert digest.hexdigest() == GOLDEN_DIGEST
+            assert all(result.workload is spec.workload and
+                       result.placement is spec.placement and
+                       result.platform is spec.platform
+                       for result, spec in zip(results, specs))
+        stored = ResultStore(tmp_path).get_many(
+            [spec.fingerprint() for spec in specs])
+        assert len(stored) == len(specs)
+        for payload in stored.values():
+            assert not {"workload", "placement", "platform"} & set(payload)
 
 
 class TestFallbacks:

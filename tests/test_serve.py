@@ -288,6 +288,28 @@ async def submit_and_wait(coalescer, queries, deadline_ms=5000.0):
     return outcomes
 
 
+#: Distinct workloads enough for one replay-mode (persisted) batch.
+REPLAY_NAMES = ("xsbench", "gpt-2", "dlrm", "605.mcf", "557.xz",
+                "619.lbm", "bc-kron", "pr-twitter", "redis-ycsb",
+                "resnet50", "603.bwaves", "spark-terasort", "llama-7b",
+                "wmt20", "integerSort", "suffixArray")
+
+
+def one_window(machine, store, names=REPLAY_NAMES):
+    """Queue ``names`` before the coalescer starts, so one coalescing
+    window sees every lane; returns the coalescer and the outcomes."""
+    async def scenario():
+        coalescer = QueryCoalescer(machine, store, coalesce_window_ms=50.0)
+        futures = [coalescer.submit(query(name), 30000.0)
+                   for name in names]
+        coalescer.start()
+        outcomes = await asyncio.gather(*futures)
+        await coalescer.drain()
+        return coalescer, outcomes
+
+    return asyncio.run(scenario())
+
+
 class TestCoalescer:
     def test_full_queue_sheds_explicitly(self, skx_machine):
         async def scenario():
@@ -381,35 +403,40 @@ class TestCoalescer:
     def test_replay_batch_persists_machine_identical_results(
             self, skx_machine, tmp_path):
         store = ResultStore(tmp_path / "serve")
-        names = ("xsbench", "gpt-2", "dlrm", "605.mcf", "557.xz",
-                 "619.lbm", "bc-kron", "pr-twitter", "redis-ycsb",
-                 "resnet50", "603.bwaves", "spark-terasort",
-                 "llama-7b", "wmt20", "integerSort", "suffixArray")
+        names = REPLAY_NAMES
         assert len(names) >= MIN_BATCH_GROUP
 
-        async def scenario():
-            coalescer = QueryCoalescer(skx_machine, store,
-                                       coalesce_window_ms=50.0)
-            # Enqueue before starting so one window sees all lanes.
-            futures = [coalescer.submit(query(name), 30000.0)
-                       for name in names]
-            coalescer.start()
-            outcomes = await asyncio.gather(*futures)
-            await coalescer.drain()
-            return coalescer, outcomes
-
-        coalescer, outcomes = asyncio.run(scenario())
+        coalescer, outcomes = one_window(skx_machine, store)
         assert all(outcome.kind == "ok" for outcome in outcomes)
         assert coalescer.counters["batches_solved"] == 1
         assert coalescer.counters["store_writes"] == len(names)
         # Replay-mode lanes are bit-identical to scalar Machine.run:
-        # what the store now holds must equal a direct execution.
+        # what the store now holds must equal a direct execution's
+        # stored payload.
         from repro.runtime import serde
         spec = RunSpec.from_machine(skx_machine, get_workload(names[0]),
                                     Placement.dram_only())
         direct = skx_machine.run(spec.workload, spec.placement)
         assert store.get(spec.fingerprint()) == \
-            serde.run_result_to_dict(direct)
+            serde.run_result_to_payload(direct)
+
+    def test_store_hits_answer_with_the_full_result(self, skx_machine,
+                                                    tmp_path):
+        from repro.runtime import serde
+        first, _ = one_window(skx_machine, ResultStore(tmp_path / "s"))
+        assert first.counters["store_writes"] == len(REPLAY_NAMES)
+        # A fresh service on the same directory answers from the store
+        # alone, with the same full answer a direct run serializes to.
+        second, outcomes = one_window(skx_machine,
+                                      ResultStore(tmp_path / "s"))
+        assert second.counters["store_hits"] == len(REPLAY_NAMES)
+        assert second.counters["batches_solved"] == 0
+        for name, outcome in zip(REPLAY_NAMES, outcomes):
+            assert outcome.kind == "ok"
+            direct = skx_machine.run(get_workload(name),
+                                     Placement.dram_only())
+            assert outcome.payload["result"] == \
+                serde.run_result_to_dict(direct)
 
     def test_store_failures_trip_breaker_and_degrade(self, skx_machine):
         class DeadStore:
