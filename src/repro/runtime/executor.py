@@ -448,7 +448,7 @@ class Executor:
         if pending:
             with self.telemetry.stage("simulate", pending=len(pending)):
                 fresh: List[Tuple[str, Dict[str, Any]]] = []
-                for index, payload in self._execute_pending(pending,
+                for index, payload in self._execute_pending(pending, keys,
                                                             reporter):
                     payloads[index] = payload
                     for duplicate in aliases[keys[index]]:
@@ -473,8 +473,11 @@ class Executor:
         return results
 
     def _execute_pending(self, pending: List[Tuple[int, RunSpec]],
-                         reporter: ProgressReporter):
+                         keys: Sequence[str], reporter: ProgressReporter):
         """Yield ``(index, payload)`` as work completes.
+
+        ``keys[index]`` is the fingerprint of the spec at ``index``,
+        hashed once by the caller.
 
         The pool path may die mid-stream (worker crash, hang past
         ``task_timeout``); completed indices are tracked so the serial
@@ -511,10 +514,9 @@ class Executor:
                 continue
             with self.telemetry.stage(
                     "task", index=index, worker="serial",
-                    fingerprint=spec.fingerprint()[:12],
-                    fallback=fell_back):
+                    fingerprint=keys[index][:12], fallback=fell_back):
                 payload = self._execute_serial_task(
-                    spec, index, attempt=1 if fell_back else 0)
+                    spec, index, keys[index], attempt=1 if fell_back else 0)
             reporter.update(hits=self.hit_count,
                             misses=self.miss_count)
             yield index, payload
@@ -549,7 +551,7 @@ class Executor:
                             misses=self.miss_count)
             yield index, payload
 
-    def _execute_serial_task(self, spec: RunSpec, index: int,
+    def _execute_serial_task(self, spec: RunSpec, index: int, key: str,
                              attempt: int = 0) -> Dict[str, Any]:
         """Execute one spec in-process, retrying transient failures.
 
@@ -557,12 +559,12 @@ class Executor:
         the pool, so injected first-attempt faults are not re-drawn.
 
         Retry sleeps draw full jitter keyed by the spec fingerprint
-        (:meth:`RetryPolicy.delays`), so coalesced twins of one failing
-        task do not storm back in lockstep; the total time slept is
-        surfaced as ``retry_delay_ms`` telemetry.
+        ``key`` (:meth:`RetryPolicy.delays`), so coalesced twins of one
+        failing task do not storm back in lockstep; the total time
+        slept is surfaced as ``retry_delay_ms`` telemetry.
         """
         plan = self.fault_plan
-        delays = self.retry.delays(key=spec.fingerprint())
+        delays = self.retry.delays(key=key)
         while True:
             try:
                 if plan is not None:

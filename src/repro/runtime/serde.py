@@ -26,8 +26,8 @@ fingerprints are a public contract.
 from __future__ import annotations
 
 import marshal
-from dataclasses import asdict, fields
-from typing import TYPE_CHECKING, Any, Dict, Union
+from dataclasses import fields
+from typing import TYPE_CHECKING, Any, Dict, Tuple, Union
 
 from ..core.counters import Counter, CounterSample
 from ..uarch.caches import DemandProfile
@@ -84,16 +84,34 @@ def payload_from_bytes(raw: bytes) -> Dict[str, Any]:
 # Configuration objects.
 # ---------------------------------------------------------------------------
 
+def _field_dict(obj: Any, names: Tuple[str, ...]) -> Dict[str, Any]:
+    """A fresh dict of ``obj``'s fields ``names``, read directly.
+
+    ``dataclasses.asdict`` would deep-copy every scalar value; the
+    callers rebuild the only nested values (a platform's DRAM device, a
+    workload's tags) themselves, so every dict they return is new.
+    """
+    return {name: getattr(obj, name) for name in names}
+
+
+_DEVICE_FIELDS = tuple(item.name for item in fields(MemoryDeviceConfig))
+_PLATFORM_FIELDS = tuple(item.name for item in fields(PlatformConfig))
+_WORKLOAD_FIELDS = tuple(item.name for item in fields(WorkloadSpec))
+_PLACEMENT_FIELDS = tuple(item.name for item in fields(Placement))
+
+
 def device_to_dict(device: MemoryDeviceConfig) -> Dict[str, Any]:
-    return asdict(device)
+    return _field_dict(device, _DEVICE_FIELDS)
 
 
 def platform_to_dict(platform: PlatformConfig) -> Dict[str, Any]:
-    return asdict(platform)
+    data = _field_dict(platform, _PLATFORM_FIELDS)
+    data["dram"] = device_to_dict(platform.dram)
+    return data
 
 
 def workload_to_dict(workload: WorkloadSpec) -> Dict[str, Any]:
-    data = asdict(workload)
+    data = _field_dict(workload, _WORKLOAD_FIELDS)
     data["tags"] = list(workload.tags)
     return data
 
@@ -105,7 +123,7 @@ def workload_from_dict(data: Dict[str, Any]) -> WorkloadSpec:
 
 
 def placement_to_dict(placement: Placement) -> Dict[str, Any]:
-    return asdict(placement)
+    return _field_dict(placement, _PLACEMENT_FIELDS)
 
 
 def placement_from_dict(data: Dict[str, Any]) -> Placement:
@@ -146,17 +164,12 @@ def run_result_to_payload(result: RunResult) -> Dict[str, Any]:
 
     The workload, placement and platform are left out - the cache key
     already pins them, and :func:`run_result_from_dict` takes them from
-    the spec.  The nested dicts read the flat dataclasses' fields
-    directly: ``asdict`` would deep-copy every float.
+    the spec.
     """
-    breakdown, demand, prefetch = (result.breakdown, result.demand,
-                                   result.prefetch)
     return {
-        "breakdown": {name: getattr(breakdown, name)
-                      for name in _BREAKDOWN_FIELDS},
-        "demand": {name: getattr(demand, name) for name in _DEMAND_FIELDS},
-        "prefetch": {name: getattr(prefetch, name)
-                     for name in _PREFETCH_FIELDS},
+        "breakdown": _field_dict(result.breakdown, _BREAKDOWN_FIELDS),
+        "demand": _field_dict(result.demand, _DEMAND_FIELDS),
+        "prefetch": _field_dict(result.prefetch, _PREFETCH_FIELDS),
         "counters": sample_to_dict(result.counters),
         "observed_read_ns": result.observed_read_ns,
         "tier_read_ns": result.tier_read_ns,

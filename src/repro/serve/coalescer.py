@@ -3,7 +3,7 @@
 The heart of the service.  Query requests flow through a **bounded
 admission queue** (full queue -> explicit shed, never a silent drop)
 into a single coalescer task that groups concurrent queries into one
-:meth:`~repro.uarch.machine.Machine.run_batch_multi` call:
+solve:
 
 - the first queued query opens a **coalescing window**
   (:data:`~repro.serve.protocol.DEFAULT_COALESCE_WINDOW_MS`); everything
@@ -12,12 +12,18 @@ into a single coalescer task that groups concurrent queries into one
 - identical queries (same :class:`~repro.runtime.spec.RunSpec`
   fingerprint) **share one solver lane**, so a thundering herd of the
   same question costs one solve;
-- batches of at least :data:`~repro.runtime.executor.MIN_BATCH_GROUP`
-  lanes run in bit-identical *replay* mode and are persisted to the
-  result store; smaller batches run ``accelerate=True`` seeded from a
-  serve-local :class:`~repro.uarch.machine.WarmStartCache` and are
-  memoized only in process, never persisted - tolerance-level deviation
-  must not poison the byte-identity store (``docs/SOLVER.md``).
+- the batch width picks the solver (``docs/SOLVER.md``, "When to
+  batch"): one lane solves with the scalar
+  :meth:`~repro.uarch.machine.Machine.run`, cheaper than any one-lane
+  batch; at least :data:`~repro.runtime.executor.MIN_BATCH_GROUP`
+  lanes run one bit-identical *replay*
+  :meth:`~repro.uarch.machine.Machine.run_batch_multi`; the widths in
+  between run it with ``accelerate=True``, seeded from a serve-local
+  :class:`~repro.uarch.machine.WarmStartCache`;
+- scalar and replay answers are exact and are persisted to the result
+  store; accelerated answers never are - tolerance-level deviation
+  must not poison the byte-identity store.  Every answer is memoized
+  in process.
 
 Deadlines are enforced at every stage a request can wait: admission,
 batch formation, and the moment the solver thread picks the batch up.
@@ -51,7 +57,9 @@ from .protocol import (DEFAULT_COALESCE_WINDOW_MS, DEFAULT_QUEUE_BOUND,
 #: fault is transient; matches the executor's attempt budget.
 SOLVE_MAX_ATTEMPTS = 3
 
-#: Results memoized in process for accelerated (non-persisted) answers.
+#: Answers memoized in process, whatever solved them: a repeat is
+#: answered without the store, which may be unreachable, and without
+#: the solver.
 MAX_MEMO_ENTRIES = 4096
 
 
@@ -355,6 +363,9 @@ class QueryCoalescer:
         # seed) through the spec, so one masked batch serves them all
         # even if future queries stop sharing the service machine.
         specs = [spec for _, spec in lanes]
+        # Scalar and replay answers are bit-identical to Machine.run;
+        # accelerated ones only agree within tolerance.
+        exact = replay or len(specs) == 1
 
         last_error: Optional[BaseException] = None
         for attempt in range(SOLVE_MAX_ATTEMPTS):
@@ -365,9 +376,12 @@ class QueryCoalescer:
                     self._count("solve_retries")
                     last_error = exc
                     continue
-            results = Machine.run_batch_multi(
-                specs, accelerate=not replay,
-                warm_cache=None if replay else self.warm_cache)
+            if len(specs) == 1:
+                results = [specs[0].execute()]
+            else:
+                results = Machine.run_batch_multi(
+                    specs, accelerate=not replay,
+                    warm_cache=None if replay else self.warm_cache)
             break
         else:
             raise TransientTaskError(
@@ -381,14 +395,11 @@ class QueryCoalescer:
             payload = serde.run_result_to_payload(result)
             answer = serde.expand_payload(payload, result)
             answers[key] = answer
-            if replay:
+            if exact:
                 self._persist(key, payload)
-            else:
-                # Accelerated answers are tolerance-level, not
-                # byte-identical: memoize locally, never persist.
-                with self._memo_lock:
-                    if len(self._memo) < MAX_MEMO_ENTRIES:
-                        self._memo[key] = answer
+            with self._memo_lock:
+                if len(self._memo) < MAX_MEMO_ENTRIES:
+                    self._memo[key] = answer
         return answers
 
     def _persist(self, key: str, payload: Dict[str, Any]) -> None:

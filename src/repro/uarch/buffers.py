@@ -71,10 +71,11 @@ PF_LFB_ENTRY_CAP = 2.0
 
 
 def effective_mlp(spec: WorkloadSpec, platform: PlatformConfig,
-                  latency_ns: float, reference_latency_ns: float,
-                  pf_l1_inflight: float) -> float:
+                  growth: float, pf_l1_inflight: float) -> float:
     """Sustained demand-read MLP per core on this platform.
 
+    ``growth`` is :func:`mlp_growth_factor` at the run's latency, which
+    the cycle fixed point holds fixed, so its caller computes it once.
     ``pf_l1_inflight`` is the average number of LFB entries occupied by
     L1-prefetch requests; demand reads use the remainder, but prefetch
     displacement is bounded by :data:`PF_LFB_ENTRY_CAP` (adaptive
@@ -82,8 +83,7 @@ def effective_mlp(spec: WorkloadSpec, platform: PlatformConfig,
     what keeps streaming workloads' MLP flat across tiers and
     interleaving ratios (paper Fig. 10) - they already run at the bound.
     """
-    grown = spec.mlp * mlp_growth_factor(spec, latency_ns,
-                                         reference_latency_ns)
+    grown = spec.mlp * growth
     displaced = min(max(pf_l1_inflight, 0.0), PF_LFB_ENTRY_CAP)
     demand_entries = max(1.0, platform.lfb_entries - displaced)
     return max(1.0, min(grown, demand_entries))
@@ -178,13 +178,11 @@ def mlp_growth_factor_batch(mlp_headroom: np.ndarray, latency_ns: np.ndarray,
     return np.where((excess <= 0) | (mlp_headroom <= 0), 1.0, grown)
 
 
-def effective_mlp_batch(mlp: np.ndarray, mlp_headroom: np.ndarray,
-                        lfb_entries: np.ndarray, latency_ns: np.ndarray,
-                        reference_latency_ns: np.ndarray,
+def effective_mlp_batch(mlp: np.ndarray, lfb_entries: np.ndarray,
+                        growth: np.ndarray,
                         pf_l1_inflight: np.ndarray) -> np.ndarray:
     """Vectorized :func:`effective_mlp`."""
-    grown = mlp * mlp_growth_factor_batch(mlp_headroom, latency_ns,
-                                          reference_latency_ns)
+    grown = mlp * growth
     displaced = np.minimum(np.maximum(pf_l1_inflight, 0.0), PF_LFB_ENTRY_CAP)
     demand_entries = np.maximum(1.0, lfb_entries - displaced)
     return np.maximum(1.0, np.minimum(grown, demand_entries))

@@ -35,7 +35,7 @@ vanish on DRAM and silently improve CXL runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from ..workloads.spec import WorkloadSpec
 from .buffers import (effective_mlp, effective_mlp_batch,
                       lfb_contention_stalls, lfb_contention_stalls_batch,
                       lfb_occupancy, lfb_occupancy_batch,
+                      mlp_growth_factor, mlp_growth_factor_batch,
                       store_backpressure_stalls,
                       store_backpressure_stalls_batch)
 from .caches import DemandProfile
@@ -141,28 +142,40 @@ def _saturating(excess_ns: float, scale_ns: float) -> float:
     return 1.0 - float(np.exp(-excess_ns / scale_ns))
 
 
-def exposure_corrections(spec: WorkloadSpec, mlp_eff: float,
-                         observed_read_ns: float,
-                         reference_idle_ns: float) -> float:
-    """Ground-truth multiplier (<= 1) on stall exposure at high latency."""
+def exposure_saturation(spec: WorkloadSpec, observed_read_ns: float,
+                        reference_idle_ns: float) -> Tuple[float, float]:
+    """``(sat, burst)``: how far the ground-truth corrections have
+    saturated at this latency (0 on DRAM), and the burst-hiding term.
+
+    Both depend only on the latencies, which the cycle fixed point
+    holds fixed, so :func:`account_cycles` computes them once.
+    """
     sat = _saturating(observed_read_ns - reference_idle_ns,
                       CORRECTION_SCALE_NS)
+    return sat, BURST_HIDE_GAIN * spec.burstiness * sat
+
+
+def exposure_corrections(mlp_eff: float, sat: float, burst: float) -> float:
+    """Ground-truth multiplier (<= 1) on stall exposure at high latency.
+
+    ``sat`` and ``burst`` come from :func:`exposure_saturation`.
+    """
     if sat <= 0:
         return 1.0
-    burst = BURST_HIDE_GAIN * spec.burstiness * sat
     hyper_level = min(1.0, max(0.0, (mlp_eff - HYPER_MLP_START) /
                                HYPER_MLP_SPAN))
     hyper = HYPER_MLP_GAIN * hyper_level * sat
     return max(0.1, 1.0 - burst - hyper)
 
 
-def prefetch_overlap(mlp_eff: float, platform: PlatformConfig) -> float:
+def prefetch_overlap(mlp_eff: float, sq_entries: float) -> float:
     """Concurrency across which late-prefetch waits overlap.
 
     Prefetch streams are more parallel than demand streams (they are
-    generated ahead of use), bounded by the SuperQueue.
+    generated ahead of use), bounded by the SuperQueue's
+    ``sq_entries``.
     """
-    return min(float(platform.sq_entries), max(2.0, 1.2 * mlp_eff))
+    return min(sq_entries, max(2.0, 1.2 * mlp_eff))
 
 
 def account_cycles(spec: WorkloadSpec, platform: PlatformConfig,
@@ -205,24 +218,29 @@ def account_cycles(spec: WorkloadSpec, platform: PlatformConfig,
     exposure_eff = spec.stall_exposure
     converged = False
 
+    # Loop invariants: the latencies are fixed for this call.
+    growth = mlp_growth_factor(spec, latency_ctx.observed_read_ns,
+                               latency_ctx.reference_idle_ns)
+    sat, burst = exposure_saturation(spec, latency_ctx.observed_read_ns,
+                                     latency_ctx.reference_idle_ns)
+    sq_entries = float(platform.sq_entries)
+    pf_exposure = spec.stall_exposure * PF_EXPOSURE_FACTOR
+    # Late-prefetch waits only surface when prefetched lines dominate
+    # the memory stream; sparse late prefetches hide under the full
+    # demand-miss stalls surrounding them (a residual wait is always
+    # shorter than the neighbouring demand stall it overlaps).
+    total_mem = covered_pc + demand_reads_pc
+    pf_dominance = covered_pc / total_mem if total_mem > 0 else 0.0
+
     for _ in range(_MAX_ITERATIONS):
         pf_inflight = pf_l1_mem_pc * tier_cyc / max(cycles, 1.0)
-        mlp_eff = effective_mlp(spec, platform, latency_ctx.observed_read_ns,
-                                latency_ctx.reference_idle_ns, pf_inflight)
+        mlp_eff = effective_mlp(spec, platform, growth, pf_inflight)
         memory_active = demand_reads_pc * obs_cyc / mlp_eff
         exposure_eff = spec.stall_exposure * exposure_corrections(
-            spec, mlp_eff, latency_ctx.observed_read_ns,
-            latency_ctx.reference_idle_ns)
+            mlp_eff, sat, burst)
         s_llc = memory_active * exposure_eff
 
-        pf_overlap = prefetch_overlap(mlp_eff, platform)
-        pf_exposure = spec.stall_exposure * PF_EXPOSURE_FACTOR
-        # Late-prefetch waits only surface when prefetched lines dominate
-        # the memory stream; sparse late prefetches hide under the full
-        # demand-miss stalls surrounding them (a residual wait is always
-        # shorter than the neighbouring demand stall it overlaps).
-        total_mem = covered_pc + demand_reads_pc
-        pf_dominance = covered_pc / total_mem if total_mem > 0 else 0.0
+        pf_overlap = prefetch_overlap(mlp_eff, sq_entries)
         late_stalls = (covered_pc * wait_cyc * pf_exposure *
                        pf_dominance / pf_overlap)
         occupancy = lfb_occupancy(mlp_eff, pf_inflight)
@@ -397,14 +415,20 @@ class BatchCycleBreakdown:
         )
 
 
-def exposure_corrections_batch(burstiness: np.ndarray, mlp_eff: np.ndarray,
-                               observed_read_ns: np.ndarray,
-                               reference_idle_ns: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`exposure_corrections` (via :func:`_saturating`)."""
+def exposure_saturation_batch(burstiness: np.ndarray,
+                              observed_read_ns: np.ndarray,
+                              reference_idle_ns: np.ndarray
+                              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`exposure_saturation` (via :func:`_saturating`)."""
     excess = observed_read_ns - reference_idle_ns
     sat = np.where(excess <= 0, 0.0,
                    1.0 - np.exp(-excess / CORRECTION_SCALE_NS))
-    burst = BURST_HIDE_GAIN * burstiness * sat
+    return sat, BURST_HIDE_GAIN * burstiness * sat
+
+
+def exposure_corrections_batch(mlp_eff: np.ndarray, sat: np.ndarray,
+                               burst: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`exposure_corrections`."""
     hyper_level = np.minimum(1.0, np.maximum(
         0.0, (mlp_eff - HYPER_MLP_START) / HYPER_MLP_SPAN))
     hyper = HYPER_MLP_GAIN * hyper_level * sat
@@ -469,8 +493,13 @@ def account_cycles_batch(params: BatchCoreParams, flow: BatchPrefetchFlow,
     converged = np.zeros(cycles.shape, dtype=bool)
     active = np.ones(cycles.shape, dtype=bool)
 
-    # Loop-invariant pieces the scalar loop recomputes verbatim each
-    # iteration (identical doubles either way).
+    # Loop invariants, as in `account_cycles`.
+    growth = mlp_growth_factor_batch(params.mlp_headroom,
+                                     latency_ctx.observed_read_ns,
+                                     latency_ctx.reference_idle_ns)
+    sat, burst = exposure_saturation_batch(params.burstiness,
+                                           latency_ctx.observed_read_ns,
+                                           latency_ctx.reference_idle_ns)
     pf_exposure = params.stall_exposure * PF_EXPOSURE_FACTOR
     total_mem = covered_pc + demand_reads_pc
     safe_total_mem = np.where(total_mem > 0, total_mem, 1.0)
@@ -478,14 +507,11 @@ def account_cycles_batch(params: BatchCoreParams, flow: BatchPrefetchFlow,
 
     for _ in range(_MAX_ITERATIONS):
         pf_inflight_it = pf_l1_mem_pc * tier_cyc / np.maximum(cycles, 1.0)
-        mlp_eff_it = effective_mlp_batch(
-            params.mlp, params.mlp_headroom, params.lfb_entries,
-            latency_ctx.observed_read_ns, latency_ctx.reference_idle_ns,
-            pf_inflight_it)
+        mlp_eff_it = effective_mlp_batch(params.mlp, params.lfb_entries,
+                                         growth, pf_inflight_it)
         memory_active_it = demand_reads_pc * obs_cyc / mlp_eff_it
         exposure_it = params.stall_exposure * exposure_corrections_batch(
-            params.burstiness, mlp_eff_it, latency_ctx.observed_read_ns,
-            latency_ctx.reference_idle_ns)
+            mlp_eff_it, sat, burst)
         s_llc_it = memory_active_it * exposure_it
 
         pf_overlap = np.minimum(params.sq_entries,

@@ -175,14 +175,16 @@ class TestMlpScaling:
         # SKX has 12 LFB entries; prefetch displacement is throttled to
         # PF_LFB_ENTRY_CAP entries, leaving 10 for demand.
         from repro.uarch.buffers import PF_LFB_ENTRY_CAP
-        value = effective_mlp(spec, SKX2S, 400.0, 90.0,
+        value = effective_mlp(spec, SKX2S,
+                              mlp_growth_factor(spec, 400.0, 90.0),
                               pf_l1_inflight=5.0)
         assert value == pytest.approx(
             SKX2S.lfb_entries - PF_LFB_ENTRY_CAP)
 
     def test_effective_mlp_floor_is_one(self):
         spec = simple_spec(mlp=1.0)
-        value = effective_mlp(spec, SKX2S, 90.0, 90.0,
+        value = effective_mlp(spec, SKX2S,
+                              mlp_growth_factor(spec, 90.0, 90.0),
                               pf_l1_inflight=100.0)
         assert value == 1.0
 

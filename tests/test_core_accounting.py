@@ -6,7 +6,7 @@ from repro.uarch.caches import demand_profile
 from repro.uarch.config import SKX2S
 from repro.uarch.core import (CycleBreakdown, LatencyContext,
                               account_cycles, exposure_corrections,
-                              prefetch_overlap)
+                              exposure_saturation, prefetch_overlap)
 from repro.uarch.prefetcher import prefetch_profile
 from repro.workloads import WorkloadSpec
 
@@ -86,31 +86,33 @@ class TestAccounting:
 
 class TestExposureCorrections:
     def test_neutral_on_dram(self):
-        assert exposure_corrections(spec(burstiness=0.9), 4.0, 90.0,
-                                    90.0) == 1.0
+        assert exposure_corrections(4.0, *exposure_saturation(
+            spec(burstiness=0.9), 90.0, 90.0)) == 1.0
 
     def test_burstiness_hides_latency(self):
-        value = exposure_corrections(spec(burstiness=0.8), 4.0, 400.0,
-                                     90.0)
+        value = exposure_corrections(4.0, *exposure_saturation(
+            spec(burstiness=0.8), 400.0, 90.0))
         assert value < 1.0
 
     def test_hyper_mlp_reduces_exposure(self):
-        normal = exposure_corrections(spec(), 4.0, 400.0, 90.0)
-        hyper = exposure_corrections(spec(), 12.0, 400.0, 90.0)
+        saturation = exposure_saturation(spec(), 400.0, 90.0)
+        normal = exposure_corrections(4.0, *saturation)
+        hyper = exposure_corrections(12.0, *saturation)
         assert hyper < normal
 
     def test_floored(self):
-        value = exposure_corrections(spec(burstiness=1.0), 16.0, 1e5,
-                                     90.0)
+        value = exposure_corrections(16.0, *exposure_saturation(
+            spec(burstiness=1.0), 1e5, 90.0))
         assert value >= 0.1
 
 
 class TestPrefetchOverlap:
     def test_bounded_by_superqueue(self):
-        assert prefetch_overlap(100.0, SKX2S) == SKX2S.sq_entries
+        assert prefetch_overlap(100.0, float(SKX2S.sq_entries)) == \
+            SKX2S.sq_entries
 
     def test_floor(self):
-        assert prefetch_overlap(0.5, SKX2S) == 2.0
+        assert prefetch_overlap(0.5, float(SKX2S.sq_entries)) == 2.0
 
 
 class TestLatencyContextValidation:

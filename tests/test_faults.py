@@ -461,6 +461,30 @@ class TestResilientExecutor:
             assert encoded(chaotic.run(specs)) == clean, jobs
             assert chaotic.telemetry.counters["injected_crash"] > 0
 
+    def test_faulted_serial_run_hashes_each_spec_once(self, machine,
+                                                      monkeypatch):
+        # The per-spec serial path labels its task span and keys its
+        # retry jitter with the batch's own keys, never re-hashing.
+        specs = specs_for(machine)
+        clean = [marshal.dumps(serde.run_result_to_dict(result), 4)
+                 for result in Executor(jobs=1).run(specs)]
+        hashed = []
+        fingerprint = RunSpec.fingerprint
+
+        def counting(spec, fragments=None):
+            hashed.append(id(spec))
+            return fingerprint(spec, fragments)
+
+        monkeypatch.setattr(RunSpec, "fingerprint", counting)
+        plan = FaultPlan(worker_faults=(WorkerFault("crash", 1.0),))
+        chaotic = Executor(jobs=1, fault_plan=plan,
+                           retry=RetryPolicy(backoff_s=0.0))
+        results = chaotic.run(specs)
+        assert sorted(hashed) == sorted(id(spec) for spec in specs)
+        assert chaotic.telemetry.counters["retries"] == len(specs)
+        assert [marshal.dumps(serde.run_result_to_dict(result), 4)
+                for result in results] == clean
+
     def test_hang_past_timeout_falls_back(self, machine):
         specs = specs_for(machine, ("557.xz",))
         plan = FaultPlan(worker_faults=(

@@ -251,3 +251,33 @@ class TestSpecExecution:
         assert decoded.counters.as_dict() == result.counters.as_dict()
         assert decoded.profiled().sample.as_dict() == \
             result.profiled().sample.as_dict()
+
+    def test_full_dict_matches_asdict_and_shares_no_dicts(self):
+        # run_result_to_dict reads the config objects' fields directly;
+        # its output must stay what dataclasses.asdict gave, key for
+        # key and type for type, with fresh containers on every call.
+        result = spec_for().execute()
+
+        def reference(result):
+            workload = dataclasses.asdict(result.workload)
+            workload["tags"] = list(result.workload.tags)
+            data = {"workload": workload,
+                    "placement": dataclasses.asdict(result.placement),
+                    "platform": dataclasses.asdict(result.platform)}
+            data.update(serde.run_result_to_payload(result))
+            return data
+
+        def shape(value):
+            if isinstance(value, dict):
+                return [(key, shape(item)) for key, item in value.items()]
+            if isinstance(value, list):
+                return [shape(item) for item in value]
+            return type(value), value
+
+        first = serde.run_result_to_dict(result)
+        assert shape(first) == shape(reference(result))
+        second = serde.run_result_to_dict(result)
+        for outer in ("workload", "placement", "platform"):
+            assert first[outer] is not second[outer]
+        assert first["platform"]["dram"] is not second["platform"]["dram"]
+        assert first["workload"]["tags"] is not second["workload"]["tags"]

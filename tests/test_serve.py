@@ -5,7 +5,8 @@ terminates in exactly one explicit outcome - solved, shed (429),
 deadline-expired (504), draining (503), or bad-request (400) - and an
 expired or shed query is never solved.  Store failures trip the
 circuit breaker and degrade to solve-without-cache; accelerated
-(small-batch) answers are never persisted to the byte-identity store.
+(2-15-lane) answers are never persisted to the byte-identity store,
+while exact one-lane scalar and replay answers are.
 """
 
 import asyncio
@@ -280,6 +281,16 @@ def query(name="xsbench", placement=None):
     return RunQuery(workload=name, placement=placement)
 
 
+class DeadStore:
+    """A result store that is never reachable."""
+
+    def get(self, key):
+        raise StoreError("unreachable")
+
+    def put(self, key, payload):
+        raise StoreError("unreachable")
+
+
 async def submit_and_wait(coalescer, queries, deadline_ms=5000.0):
     coalescer.start()
     futures = [coalescer.submit(q, deadline_ms) for q in queries]
@@ -383,22 +394,103 @@ class TestCoalescer:
     def test_small_batch_not_persisted_but_memoized(self, skx_machine,
                                                     tmp_path):
         store = ResultStore(tmp_path / "serve")
+        pair = (query("xsbench"), query("gpt-2"))
 
         async def scenario():
             coalescer = QueryCoalescer(skx_machine, store,
+                                       coalesce_window_ms=50.0)
+            # Queued before the task starts: one two-lane window.
+            first = [coalescer.submit(q, 5000.0) for q in pair]
+            coalescer.start()
+            outcomes = list(await asyncio.gather(*first))
+            outcomes += await asyncio.gather(
+                *[coalescer.submit(q, 5000.0) for q in pair])
+            await coalescer.drain()
+            return coalescer, outcomes
+
+        coalescer, outcomes = asyncio.run(scenario())
+        assert [outcome.kind for outcome in outcomes] == ["ok"] * 4
+        for outcome in outcomes:          # accelerated: memo only
+            assert outcome.payload["fingerprint"] not in store
+        assert coalescer.counters["batches_solved"] == 1
+        assert coalescer.counters["lanes_solved"] == 2
+        assert coalescer.counters["memo_hits"] == 2
+        assert coalescer.counters["store_writes"] == 0
+
+    def test_one_lane_answer_is_the_scalar_solve_and_persisted(
+            self, skx_machine, tmp_path):
+        from repro.runtime import serde
+        placement = Placement.interleaved(0.5, "cxl-a")
+        lone = RunQuery(workload="605.mcf",
+                        placement=serde.placement_to_dict(placement))
+        spec = RunSpec.from_machine(skx_machine, get_workload("605.mcf"),
+                                    placement)
+        direct = spec.execute()
+
+        async def ask(store, times):
+            coalescer = QueryCoalescer(skx_machine, store,
                                        coalesce_window_ms=1.0)
             coalescer.start()
-            first = await coalescer.submit(query(), 5000.0)
-            second = await coalescer.submit(query(), 5000.0)
+            outcomes = [await coalescer.submit(lone, 5000.0)
+                        for _ in range(times)]
             await coalescer.drain()
-            return coalescer, [first, second]
+            return coalescer, outcomes
+
+        coalescer, (first, repeat) = asyncio.run(
+            ask(ResultStore(tmp_path / "s"), 2))
+        assert first.payload["result"] == serde.run_result_to_dict(direct)
+        assert ResultStore(tmp_path / "s").get(spec.fingerprint()) == \
+            serde.run_result_to_payload(direct)
+        assert coalescer.counters["store_writes"] == 1
+        # The repeat never reaches the store or the solver.
+        assert repeat.payload == first.payload
+        assert coalescer.counters["memo_hits"] == 1
+        assert coalescer.counters["lanes_solved"] == 1
+
+        # A fresh service on the same store answers from the store.
+        fresh, (stored,) = asyncio.run(ask(ResultStore(tmp_path / "s"), 1))
+        assert stored.payload == first.payload
+        assert fresh.counters["store_hits"] == 1
+        assert fresh.counters["lanes_solved"] == 0
+
+    def test_one_lane_answers_are_memoized_while_the_store_is_down(
+            self, skx_machine):
+        async def scenario():
+            coalescer = QueryCoalescer(skx_machine, DeadStore(),
+                                       coalesce_window_ms=1.0)
+            coalescer.start()
+            outcomes = [await coalescer.submit(query(), 5000.0)
+                        for _ in range(2)]
+            await coalescer.drain()
+            return coalescer, outcomes
 
         coalescer, outcomes = asyncio.run(scenario())
         assert [outcome.kind for outcome in outcomes] == ["ok", "ok"]
-        key = outcomes[0].payload["fingerprint"]
-        assert key not in store          # accelerated: memo only
+        assert coalescer.counters["lanes_solved"] == 1
         assert coalescer.counters["memo_hits"] == 1
-        assert coalescer.counters["store_writes"] == 0
+
+    def test_one_lane_answer_under_latency_faults_is_the_hooked_scalar(
+            self, skx_machine):
+        from repro.faults import FaultPlan, LatencyInjector, TierFault
+        from repro.runtime import serde
+        plan = FaultPlan(tier_faults=(TierFault("*", "spike", 1.0),))
+        workload = get_workload("605.mcf")
+        placement = Placement.slow_only("cxl-a")
+        with LatencyInjector(plan) as injector:
+            hooked = skx_machine.run(workload, placement)
+        assert injector.injected == {"tier_spike": 1}
+
+        async def scenario():
+            coalescer = QueryCoalescer(skx_machine,
+                                       coalesce_window_ms=1.0)
+            return await submit_and_wait(coalescer, [RunQuery(
+                workload="605.mcf",
+                placement=serde.placement_to_dict(placement))])
+
+        with LatencyInjector(plan):
+            (outcome,) = asyncio.run(scenario())
+        assert outcome.payload["result"] == serde.run_result_to_dict(hooked)
+        assert hooked.cycles != skx_machine.run(workload, placement).cycles
 
     def test_replay_batch_persists_machine_identical_results(
             self, skx_machine, tmp_path):
@@ -439,13 +531,6 @@ class TestCoalescer:
                 serde.run_result_to_dict(direct)
 
     def test_store_failures_trip_breaker_and_degrade(self, skx_machine):
-        class DeadStore:
-            def get(self, key):
-                raise StoreError("unreachable")
-
-            def put(self, key, payload):
-                raise StoreError("unreachable")
-
         breaker = CircuitBreaker(failure_threshold=2, cooldown_s=60.0)
 
         async def scenario():
