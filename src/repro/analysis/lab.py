@@ -18,13 +18,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.calibration import Calibration, calibrate
 from ..core.slowdown import SlowdownPredictor
-from ..runtime import serde, warmstore
+from ..runtime import serde
 from ..runtime.executor import Executor
 from ..runtime.spec import RunSpec
 from ..runtime.store import ResultStore
 from ..uarch.config import get_platform
 from ..uarch.interleave import Placement
-from ..uarch.machine import Machine, RunResult, WarmStartCache
+from ..uarch.machine import Machine, RunResult
 from ..workloads.spec import WorkloadSpec
 from ..workloads.suites import evaluation_suite
 
@@ -68,12 +68,6 @@ class Lab:
         self._runs: Dict[Tuple[str, int, WorkloadSpec, Placement],
                          RunResult] = {}
         self._suite: Optional[List[WorkloadSpec]] = None
-        # Converged fixed points shared across :meth:`sweep_runs`
-        # calls: neighbouring ratios (and repeat sweeps at other
-        # resolutions) seed from each other.  Built lazily by
-        # :meth:`warm_cache` so the persisted snapshot (if any) is
-        # loaded exactly once, on first use.
-        self._warm_cache: Optional[WarmStartCache] = None
 
     # -- ingredients ---------------------------------------------------------
     def suite(self) -> List[WorkloadSpec]:
@@ -153,36 +147,6 @@ class Lab:
                     self._runs[key] = result
         return [self._runs[key] for key in keys]
 
-    def warm_cache(self) -> WarmStartCache:
-        """The sweep solver's warm-start cache, loaded lazily.
-
-        First use rebuilds the cache from the store's persisted
-        snapshot (``repro.runtime.warmstore``) so a cold process
-        inherits every fixed point earlier processes converged.
-        Fault-injection runs skip the load - a fault-shaped store must
-        not leak warmth into (or out of) a chaos experiment.  Loaded
-        points are counted as ``warm_points_loaded``.
-        """
-        if self._warm_cache is None:
-            self._warm_cache = WarmStartCache()
-            if self.executor.fault_plan is None:
-                _, loaded = warmstore.load_warm_cache(
-                    self.executor.store, self._warm_cache)
-                if loaded:
-                    self.executor.telemetry.count(
-                        "warm_points_loaded", loaded)
-        return self._warm_cache
-
-    def _persist_warm_cache(self) -> None:
-        """Best-effort snapshot of the warm cache into the store."""
-        if self._warm_cache is None or \
-                self.executor.fault_plan is not None:
-            return
-        saved = warmstore.save_warm_cache(self.executor.store,
-                                          self._warm_cache)
-        if saved:
-            self.executor.telemetry.count("warm_points_saved", saved)
-
     def _ratio_placement(self, tier: str, x: float) -> Placement:
         if x >= 1.0:
             return Placement.dram_only()
@@ -193,18 +157,17 @@ class Lab:
     def sweep_runs(self, tier: str, workload: WorkloadSpec,
                    ratios: Sequence[float],
                    label: str = "sweep") -> List[RunResult]:
-        """Ratio sweep through the vectorized, warm-started solver.
+        """Ratio sweep through the vectorized, accelerated solver.
 
         The sweep shape is the substrate's hottest loop (Fig. 11/13/14
-        profile 101 ratios per workload), so it goes straight to
-        :meth:`Machine.run_batch_multi` with Anderson acceleration and
-        this lab's warm-start cache instead of N scalar fixed points
-        through the executor.  Results are memoized into the same
-        per-run memo the scalar accessors use; points already memoized
-        (for example the DRAM baseline) are reused, not re-solved.
-        New fixed points the solve records are snapshotted back into
-        the persistent store (``warm_points_saved``) so the next
-        process's sweeps start warm.
+        profile 101 ratios per workload), so it goes straight to one
+        cold :meth:`Machine.run_batch_multi` with Anderson acceleration
+        instead of N scalar fixed points through the executor.  Each
+        point it solves is its cold accelerated solve, a function of
+        its spec alone, not of what was solved before it.  Results are
+        memoized into the same per-run memo the scalar accessors use;
+        points already memoized (for example the DRAM baseline) are
+        reused, not re-solved.
 
         Accelerated results match the scalar path within
         :data:`~repro.uarch.machine.ACCELERATED_RELATIVE_TOLERANCE`
@@ -214,8 +177,8 @@ class Lab:
         points whose exact (scalar/replay) result a previous executor
         run persisted are seeded from one batched
         :meth:`~repro.runtime.store.ResultStore.get_many` before the
-        accelerated solve, so warm sweeps re-solve only genuinely new
-        ratios.
+        accelerated solve, so sweeps re-solve only ratios the store
+        does not hold.
         """
         machine = self.machine_for_tier(tier)
         placements = [self._ratio_placement(tier, float(x))
@@ -228,8 +191,6 @@ class Lab:
                                         keys, missing)
         if missing:
             stats: Dict[str, object] = {}
-            cache = self.warm_cache()
-            recorded = cache.points_recorded + cache.evictions
             with self.executor.telemetry.stage(
                     "lab.sweep", tier=tier.lower(), label=label,
                     workload=workload.name, batch=len(keys),
@@ -238,14 +199,12 @@ class Lab:
                     [RunSpec.from_machine(machine, workload,
                                           placements[index])
                      for index in missing],
-                    accelerate=True, warm_cache=cache, stats=stats)
+                    accelerate=True, stats=stats)
             for index, result in zip(missing, results):
                 self._runs[keys[index]] = result
             if stats.get("nonconverged"):
                 self.executor.telemetry.count(
                     "nonconverged_results", int(stats["nonconverged"]))
-            if cache.points_recorded + cache.evictions != recorded:
-                self._persist_warm_cache()
         return [self._runs[key] for key in keys]
 
     def _seed_from_store(self, machine: Machine,

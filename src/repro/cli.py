@@ -747,22 +747,11 @@ def cmd_workloads(args) -> int:
 
 def cmd_cache(args) -> int:
     """Inspect or maintain the persistent result store (docs/STORE.md)."""
-    from .runtime import warmstore
-    from .runtime.spec import CACHE_SCHEMA_VERSION, code_version
+    from .runtime.spec import CACHE_SCHEMA_VERSION
     root = pathlib.Path(args.cache_dir) if args.cache_dir \
         else default_cache_dir()
     with ResultStore(root, auto_compact=False) as store:
-        if args.action == "warm-clear":
-            present = warmstore.clear_warm_cache(store)
-            print("cleared warm-start snapshot" if present else
-                  "no warm-start snapshot for this code version")
-        elif args.action == "warm-info":
-            cache, loaded = warmstore.load_warm_cache(store)
-            print(f"key:      {warmstore.warm_store_key()}")
-            print(f"version:  {code_version()}")
-            print(f"points:   {loaded}")
-            print(f"capacity: {cache.capacity}")
-        elif args.action == "clear":
+        if args.action == "clear":
             entries = len(store)
             store.clear()
             print(f"cleared {entries} entr"
@@ -775,14 +764,12 @@ def cmd_cache(args) -> int:
                   f"{len(store.segment_paths())} segment(s), "
                   f"{len(store)} entries live")
         else:   # info
-            _, warm_points = warmstore.load_warm_cache(store)
             print(f"root:          {root}")
             print(f"schema:        {CACHE_SCHEMA_VERSION}")
             print(f"entries:       {len(store)}")
             print(f"segments:      {len(store.segment_paths())}")
             print(f"disk bytes:    {store.disk_bytes()}")
             print(f"corrupt:       {store.stats.corrupt}")
-            print(f"warm points:   {warm_points}")
     return 0
 
 
@@ -1012,13 +999,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect / compact / clear the persistent result store "
              "(docs/STORE.md)")
     p.add_argument("action",
-                   choices=("info", "compact", "clear", "warm-info",
-                            "warm-clear"),
+                   choices=("info", "compact", "clear"),
                    help="info: summary; compact: rewrite live records "
                         "into fresh segments; clear: delete every "
-                        "entry; warm-info: the solver warm-start "
-                        "snapshot for this code version; warm-clear: "
-                        "tombstone it")
+                        "entry")
     p.add_argument("--cache-dir", type=_cache_dir_arg, metavar="DIR",
                    help="store location (default: $REPRO_CACHE_DIR or "
                         "./.repro-cache)")

@@ -20,14 +20,11 @@ The pinned cases cover the layers a regression could hide in:
 ``suite_slice``          end-to-end: runs + predictions + accuracy summary
 ``solver_sweep_loop``    101-ratio sweep, one scalar ``run`` per point
 ``solver_sweep_batch``   the same sweep, one accelerated ``run_batch``
-``solver_sweep_warm``    the same sweep, accelerated + warm-start cache
 ``solver_suite_loop``    16 workloads x {dram, cxl-a}, scalar loop
 ``solver_suite_batch``   the same pairs, one accelerated ``run_batch``
 ``suite_groups``         population solved per-(platform, seed) group
 ``suite_onebatch``       the same population, one cross-machine batch
 ``suite_accel``          a 3-platform suite population, accelerated
-``warm_persist_cold``    cold-process sweep seeded from the persisted
-                         warm-start snapshot (``runtime/warmstore``)
 ``store_roundtrip_100k`` ``put_many`` + ``get_many``, 100k entries [*]
 ``store_scan_1m``        ``get_many`` over a 1M-entry store [*]
 ``fleet_pairwise_loop``  per-node ``run_colocated`` over a few nodes
@@ -83,7 +80,11 @@ from typing import Any, Callable, Dict, List, Optional
 #: two ``*_speedup_vs_json`` ratios: they divided this host's cost by a
 #: constant measured on another host for a store that no longer
 #: exists.
-BENCH_SCHEMA = "repro-bench/8"
+#: 9: the solver's warm-start cache is gone: no ``solver_sweep_warm``
+#: or ``warm_persist_cold`` case, no ``sweep_warm_*`` fields in the
+#: ``solver`` block and no ``warm_cold_*`` fields in the
+#: ``population`` block.
+BENCH_SCHEMA = "repro-bench/9"
 
 #: Machine seed for every benched simulation (pinned => comparable).
 BENCH_SEED = 0
@@ -220,7 +221,7 @@ def run_bench(repeats: int = 5, out: Optional[pathlib.Path] = None,
     from ..runtime.store import ResultStore
     from ..uarch.config import get_platform
     from ..uarch.interleave import Placement
-    from ..uarch.machine import Machine, WarmStartCache, slowdown
+    from ..uarch.machine import Machine, slowdown
     from ..workloads.suites import get_workload, named_workloads
 
     machine = Machine(get_platform("skx2s"), seed=BENCH_SEED)
@@ -369,18 +370,6 @@ def run_bench(repeats: int = 5, out: Optional[pathlib.Path] = None,
                        points=sweep_points, workload=sweep_spec.name,
                        device=SOLVER_SWEEP_DEVICE))
 
-    warm_cache = WarmStartCache()
-    machine.run_batch(sweep_pairs, accelerate=True,
-                      warm_cache=warm_cache)  # seed the cache
-    warm_stats: Dict[str, Any] = {}
-
-    def solver_sweep_warm() -> None:
-        machine.run_batch(sweep_pairs, accelerate=True,
-                          warm_cache=warm_cache, stats=warm_stats)
-    cases.append(_case("solver_sweep_warm", solver_sweep_warm, repeats,
-                       points=sweep_points, workload=sweep_spec.name,
-                       device=SOLVER_SWEEP_DEVICE))
-
     suite_specs = list(named_workloads().values())[:solver_workloads]
     suite_pairs = []
     for workload in suite_specs:
@@ -405,7 +394,7 @@ def run_bench(repeats: int = 5, out: Optional[pathlib.Path] = None,
                        pairs=len(suite_pairs)))
 
     # -- population: cross-machine one-shot solving (docs/SOLVER.md) -------
-    from ..runtime import serde, warmstore
+    from ..runtime import serde
     from ..runtime.spec import RunSpec
     from ..workloads.suites import evaluation_suite
 
@@ -468,27 +457,6 @@ def run_bench(repeats: int = 5, out: Optional[pathlib.Path] = None,
                                 stats=accel_stats)
     cases.append(_case("suite_accel", suite_accel, pop_repeats,
                        lanes=len(accel_population)))
-
-    # -- warm_persist_cold: a cold process seeded from the snapshot --------
-    # Setup persists a sweep-seeded cache; each timed call then does
-    # exactly what a cold process does - rebuild the cache from the
-    # store and solve the sweep warm.
-    persist_stats: Dict[str, Any] = {}
-    warm_loaded = [0]
-    with tempfile.TemporaryDirectory(prefix="repro-bench-warm-") as tmp:
-        warm_snap_store = ResultStore(pathlib.Path(tmp) / "snap")
-        seed_cache = WarmStartCache()
-        machine.run_batch(sweep_pairs, accelerate=True,
-                          warm_cache=seed_cache)
-        warmstore.save_warm_cache(warm_snap_store, seed_cache)
-
-        def warm_persist_cold() -> None:
-            cache, warm_loaded[0] = warmstore.load_warm_cache(
-                warm_snap_store)
-            machine.run_batch(sweep_pairs, accelerate=True,
-                              warm_cache=cache, stats=persist_stats)
-        cases.append(_case("warm_persist_cold", warm_persist_cold,
-                           repeats, points=sweep_points))
 
     # -- lint_cold / lint_warm: camp-lint whole-repo, cache off/on ---------
     # Cold rebuilds the program graph and runs every rule from a fresh
@@ -588,22 +556,15 @@ def run_bench(repeats: int = 5, out: Optional[pathlib.Path] = None,
         "suite_workloads": len(suite_specs),
         "sweep_speedup": _speedup("solver_sweep_loop",
                                   "solver_sweep_batch"),
-        "sweep_warm_speedup": _speedup("solver_sweep_loop",
-                                       "solver_sweep_warm"),
         "suite_speedup": _speedup("solver_suite_loop",
                                   "solver_suite_batch"),
         "sweep_outer_iterations": int(
             sweep_stats.get("outer_iterations", 0)),
-        "sweep_warm_outer_iterations": int(
-            warm_stats.get("outer_iterations", 0)),
         "nonconverged": int(sweep_stats.get("nonconverged", 0)) +
-        int(warm_stats.get("nonconverged", 0)) +
         int(suite_stats.get("nonconverged", 0)),
     }
     by_name["solver_sweep_batch"].meta["speedup_vs_loop"] = \
         solver["sweep_speedup"]
-    by_name["solver_sweep_warm"].meta["speedup_vs_loop"] = \
-        solver["sweep_warm_speedup"]
     by_name["solver_suite_batch"].meta["speedup_vs_loop"] = \
         solver["suite_speedup"]
 
@@ -612,18 +573,11 @@ def run_bench(repeats: int = 5, out: Optional[pathlib.Path] = None,
         "groups": len(population_groups),
         "onebatch_speedup": _speedup("suite_groups", "suite_onebatch"),
         "onebatch_replay_identical": replay_identical,
-        "warm_cold_points_loaded": warm_loaded[0],
-        "warm_cold_seeds_used": int(
-            persist_stats.get("warm_seeded", 0)),
-        "nonconverged": int(accel_stats.get("nonconverged", 0)) +
-        int(persist_stats.get("nonconverged", 0)),
+        "nonconverged": int(accel_stats.get("nonconverged", 0)),
     }
     by_name["suite_onebatch"].meta.update(
         speedup_vs_groups=population["onebatch_speedup"],
         replay_identical=replay_identical)
-    by_name["warm_persist_cold"].meta.update(
-        points_loaded=warm_loaded[0],
-        warm_seeded=population["warm_cold_seeds_used"])
 
     def _us_per_entry(case_name: str, entries: int) -> float:
         return round(by_name[case_name].median_s / entries * 1e6, 3)
@@ -700,9 +654,8 @@ def render_bench(result: Dict[str, Any]) -> str:
     if solver:
         lines.append(
             f"  solver speedups: sweep {solver['sweep_speedup']:.1f}x, "
-            f"warm {solver['sweep_warm_speedup']:.1f}x, "
             f"suite {solver['suite_speedup']:.1f}x "
-            f"(targets >= 5x / - / 3x)")
+            f"(targets >= 5x / 3x)")
     population = result.get("population")
     if population:
         lines.append(
@@ -710,10 +663,7 @@ def render_bench(result: Dict[str, Any]) -> str:
             f"{population['onebatch_speedup']:.1f}x vs "
             f"{population['groups']} per-machine groups (target >= 5x, "
             f"replay identical: "
-            f"{population['onebatch_replay_identical']}); "
-            f"cold warm-start seeded "
-            f"{population['warm_cold_seeds_used']} lane(s) from "
-            f"{population['warm_cold_points_loaded']} stored point(s)")
+            f"{population['onebatch_replay_identical']})")
     store = result.get("store")
     if store:
         line = f"  store: {store['roundtrip_us_per_entry']:.1f} us/entry"

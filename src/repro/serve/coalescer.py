@@ -18,8 +18,8 @@ solve:
   batch; at least :data:`~repro.runtime.executor.MIN_BATCH_GROUP`
   lanes run one bit-identical *replay*
   :meth:`~repro.uarch.machine.Machine.run_batch_multi`; the widths in
-  between run it with ``accelerate=True``, seeded from a serve-local
-  :class:`~repro.uarch.machine.WarmStartCache`;
+  between run it cold with ``accelerate=True``, so an answer never
+  depends on which queries were solved before it;
 - scalar and replay answers are exact and are persisted to the result
   store; accelerated answers never are - tolerance-level deviation
   must not poison the byte-identity store.  Every answer is memoized
@@ -47,7 +47,7 @@ from ..runtime.errors import StoreError, TransientTaskError
 from ..runtime.executor import MIN_BATCH_GROUP
 from ..runtime.spec import RunSpec
 from ..runtime.store import ResultStore
-from ..uarch.machine import Machine, WarmStartCache
+from ..uarch.machine import Machine
 from ..workloads.suites import get_workload
 from .breaker import BreakerOpenError, CircuitBreaker
 from .protocol import (DEFAULT_COALESCE_WINDOW_MS, DEFAULT_QUEUE_BOUND,
@@ -129,7 +129,6 @@ class QueryCoalescer:
         self.breaker = breaker or CircuitBreaker()
         self.clock = clock
         self.solve_hook = solve_hook
-        self.warm_cache = WarmStartCache()
         self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue()
         self._memo: Dict[str, Dict[str, Any]] = {}
         self._memo_lock = threading.Lock()
@@ -185,9 +184,6 @@ class QueryCoalescer:
         snapshot["queued"] = self._queue.qsize()
         snapshot["queue_bound"] = self.queue_bound
         snapshot["breaker"] = self.breaker.snapshot()
-        snapshot["warm_points"] = self.warm_cache.points_recorded
-        snapshot["warm_seeds_served"] = self.warm_cache.seeds_served
-        snapshot["warm_evictions"] = self.warm_cache.evictions
         return snapshot
 
     # -- admission -----------------------------------------------------------
@@ -380,8 +376,7 @@ class QueryCoalescer:
                 results = [specs[0].execute()]
             else:
                 results = Machine.run_batch_multi(
-                    specs, accelerate=not replay,
-                    warm_cache=None if replay else self.warm_cache)
+                    specs, accelerate=not replay)
             break
         else:
             raise TransientTaskError(

@@ -186,147 +186,10 @@ class _SolverState:
     slow_escalation: float = 1.0
 
 
-#: One solver state as a plain 6-tuple: (dram latency, slow latency,
-#: dram RFO, slow RFO, dram escalation, slow escalation) - the vector
-#: the batched solver iterates and the warm-start cache stores.
-StateVector = Tuple[float, float, float, float, float, float]
-
-#: The solver-state arrays' names, in `StateVector` order.
+#: The solver-state arrays' names: the state a joint colocation
+#: iteration carries from one batch solve into the next.
 _STATE_NAMES = ("dram_latency_ns", "slow_latency_ns", "dram_rfo_ns",
                 "slow_rfo_ns", "dram_escalation", "slow_escalation")
-
-
-@dataclass
-class _WarmEntry:
-    x_req: float
-    state: StateVector
-    #: Monotonic last-use stamp (seeded from or refreshed) for LRU.
-    tick: int = 0
-
-
-#: Default cap on fixed points a :class:`WarmStartCache` retains.  A
-#: point is a 6-double state vector plus a key reference, so the cap
-#: bounds a long-lived ``repro serve`` process at roughly a megabyte
-#: while keeping any single sweep or colocation working set (hundreds
-#: of points) fully resident.
-DEFAULT_WARM_CAPACITY = 4096
-
-
-class WarmStartCache:
-    """Seeds accelerated solves from nearby converged fixed points.
-
-    Keyed by everything that pins the fixed point *except* the swept
-    quantities - the DRAM request share and external traffic: the
-    workload spec, the slow-tier name and hotness bias, the platform,
-    and the noise/seed identity.  Along a ratio sweep the nearest
-    recorded share is one grid step away, so a seeded solve converges
-    in a handful of iterations instead of hundreds; across colocation
-    iterations the share is constant and the previous joint iterate is
-    the seed.
-
-    Growth is bounded: at most ``capacity`` fixed points are retained
-    (default :data:`DEFAULT_WARM_CAPACITY`); once full, recording a new
-    point evicts the least recently *used* one - used meaning seeded
-    from or refreshed - and increments ``evictions``.
-
-    Only consulted in ``accelerate=True`` mode: a warm seed changes the
-    solver trajectory, and replay mode must stay bit-identical to
-    ``Machine.run`` (docs/SOLVER.md).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_WARM_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
-        self._entries: Dict[tuple, List[_WarmEntry]] = {}
-        self._tick = 0
-        #: How many solves were seeded from the cache.
-        self.seeds_served = 0
-        #: How many distinct fixed points are currently recorded.
-        self.points_recorded = 0
-        #: How many fixed points were evicted to stay under capacity.
-        self.evictions = 0
-
-    def _touch(self, entry: _WarmEntry) -> None:
-        self._tick += 1
-        entry.tick = self._tick
-
-    @staticmethod
-    def _key(workload: WorkloadSpec, placement: Placement,
-             platform_name: str, noise: float, seed: int) -> tuple:
-        return (workload, placement.device, placement.hotness_bias,
-                platform_name, noise, seed)
-
-    def seed(self, workload: WorkloadSpec, placement: Placement,
-             platform_name: str, noise: float, seed: int,
-             x_req: float) -> Optional[StateVector]:
-        """Nearest recorded fixed point by DRAM request share, if any."""
-        entries = self._entries.get(
-            self._key(workload, placement, platform_name, noise, seed))
-        if not entries:
-            return None
-        best = min(entries, key=lambda entry: abs(entry.x_req - x_req))
-        self._touch(best)
-        self.seeds_served += 1
-        return best.state
-
-    def record(self, workload: WorkloadSpec, placement: Placement,
-               platform_name: str, noise: float, seed: int,
-               x_req: float, state: StateVector) -> None:
-        """Record a converged fixed point (replacing a same-share entry)."""
-        self._store(self._key(workload, placement, platform_name, noise,
-                              seed), x_req, state)
-
-    def _store(self, key: tuple, x_req: float,
-               state: StateVector) -> None:
-        entries = self._entries.setdefault(key, [])
-        for entry in entries:
-            if abs(entry.x_req - x_req) <= 1e-12:
-                entry.state = state
-                self._touch(entry)
-                return
-        entry = _WarmEntry(x_req=x_req, state=state)
-        self._touch(entry)
-        entries.append(entry)
-        self.points_recorded += 1
-        while self.points_recorded > self.capacity:
-            self._evict_one()
-
-    def _evict_one(self) -> None:
-        victim_key, victim = min(
-            ((key, entry) for key, entries in self._entries.items()
-             for entry in entries),
-            key=lambda pair: pair[1].tick)
-        remaining = [entry for entry in self._entries[victim_key]
-                     if entry is not victim]
-        if remaining:
-            self._entries[victim_key] = remaining
-        else:
-            del self._entries[victim_key]
-        self.points_recorded -= 1
-        self.evictions += 1
-
-    def export_points(self) -> List[Tuple[tuple, float, StateVector]]:
-        """Every retained ``(key, x_req, state)`` point, LRU-first.
-
-        The persistence layer (``repro.runtime.warmstore``) serializes
-        these; re-importing in this order reproduces the eviction
-        order, so a snapshot round-trip preserves LRU behavior.
-        """
-        stamped = [(key, entry.x_req, entry.state, entry.tick)
-                   for key, entries in self._entries.items()
-                   for entry in entries]
-        stamped.sort(key=lambda item: item[3])
-        return [(key, x_req, state) for key, x_req, state, _ in stamped]
-
-    def import_points(self, points) -> int:
-        """Bulk-load exported points (e.g. from the persistent store)."""
-        loaded = 0
-        for key, x_req, state in points:
-            self._store(tuple(key), float(x_req),
-                        tuple(float(value) for value in state))
-            loaded += 1
-        return loaded
 
 
 def _take_lanes(struct, index: np.ndarray):
@@ -684,7 +547,6 @@ class Machine:
                   external_traffic: Optional[Sequence[
                       Optional[Mapping[str, float]]]] = None,
                   *, accelerate: bool = False,
-                  warm_cache: Optional[WarmStartCache] = None,
                   stats: Optional[Dict[str, object]] = None
                   ) -> List[RunResult]:
         """Execute N (workload, placement) problems in one vectorized solve.
@@ -693,39 +555,36 @@ class Machine:
         same arithmetic in the same order as looped :meth:`run`, so the
         returned :class:`RunResult`\\ s are bit-identical to N scalar
         calls.  With ``accelerate=True`` the outer fixed point uses
-        Anderson (secant) acceleration - optionally seeded from
-        ``warm_cache`` - converging in far fewer iterations to the same
-        fixed point within :data:`ACCELERATED_RELATIVE_TOLERANCE`
-        (docs/SOLVER.md has the full tolerance contract).
+        Anderson (secant) acceleration, converging in far fewer
+        iterations to the same fixed point within
+        :data:`ACCELERATED_RELATIVE_TOLERANCE` (docs/SOLVER.md has the
+        full tolerance contract).  Every lane starts cold, so a result
+        depends only on its own problem, never on earlier solves.
 
         ``external_traffic`` optionally gives one per-problem mapping of
         tier name to colocated GB/s, aligned with ``pairs``.  ``stats``
         (if given) receives solver telemetry: problem count, mode,
-        outer-iteration totals, warm seeds used, replay re-solves, and
-        how many lanes did not converge.
+        outer-iteration totals, replay re-solves, and how many lanes
+        did not converge.
         """
         pairs = list(pairs)
-        if warm_cache is not None and not accelerate:
-            raise ValueError(
-                "warm_cache requires accelerate=True: replay mode must "
-                "stay bit-identical to Machine.run")
         with maybe_span("machine.run_batch", problems=len(pairs),
                         platform=self.platform.name,
                         accelerated=accelerate) as span:
             results, solve_stats = self._run_batch(
-                pairs, external_traffic, accelerate, warm_cache)
+                pairs, external_traffic, accelerate)
             if span is not None:
                 span.annotate(**solve_stats)
             if stats is not None:
                 stats.update(solve_stats)
             return results
 
-    def _run_batch(self, pairs, external_traffic, accelerate, warm_cache,
+    def _run_batch(self, pairs, external_traffic, accelerate,
                    platforms=None, noises=None, seeds=None):
         if not pairs:
             return [], {"problems": 0, "mode": "empty",
                         "outer_iterations": 0, "nonconverged": 0,
-                        "warm_seeded": 0, "replay_resolves": 0}
+                        "replay_resolves": 0}
         externals: List[Optional[Mapping[str, float]]]
         if external_traffic is None:
             externals = [None] * len(pairs)
@@ -738,12 +597,8 @@ class Machine:
 
         problem = self._pack_batch(pairs, externals, platforms=platforms,
                                    noises=noises, seeds=seeds)
-        state = self._initial_state(problem)
-        warm_seeded = 0
-        if accelerate and warm_cache is not None:
-            warm_seeded = self._apply_warm_seeds(problem, state, warm_cache)
-
-        solution = self._solve_batch(problem, state, accelerate)
+        solution = self._solve_batch(problem, self._initial_state(problem),
+                                     accelerate)
         replay_resolves = 0
         if accelerate and not bool(solution.converged.all()):
             # Safe fallback: lanes the accelerated loop could not settle
@@ -757,23 +612,18 @@ class Machine:
                 accelerate=False)
             solution.splice(sub, index)
 
-        if accelerate and warm_cache is not None:
-            self._record_warm_points(problem, solution, warm_cache)
-
         results = self._materialize(problem, solution)
         solve_stats = {
             "problems": problem.size,
             "mode": "accelerated" if accelerate else "replay",
             "outer_iterations": int(solution.iterations.sum()),
             "nonconverged": sum(1 for r in results if not r.converged),
-            "warm_seeded": warm_seeded,
             "replay_resolves": replay_resolves,
         }
         return results, solve_stats
 
     @classmethod
     def run_batch_multi(cls, specs: Sequence, *, accelerate: bool = False,
-                        warm_cache: Optional[WarmStartCache] = None,
                         stats: Optional[Dict[str, object]] = None
                         ) -> List[RunResult]:
         """Solve specs spanning *different machines* as one masked batch.
@@ -789,19 +639,14 @@ class Machine:
         In the default *replay* mode the result list is bit-identical
         to looping ``Machine(spec.platform, noise=spec.noise,
         seed=spec.seed).run(spec.workload, spec.placement)`` over the
-        specs.  ``accelerate``/``warm_cache`` behave as in
-        :meth:`run_batch`.
+        specs.  ``accelerate`` behaves as in :meth:`run_batch`.
         """
         specs = list(specs)
-        if warm_cache is not None and not accelerate:
-            raise ValueError(
-                "warm_cache requires accelerate=True: replay mode must "
-                "stay bit-identical to Machine.run")
         if not specs:
             if stats is not None:
                 stats.update(problems=0, mode="empty",
                              outer_iterations=0, nonconverged=0,
-                             warm_seeded=0, replay_resolves=0)
+                             replay_resolves=0)
             return []
         host = cls(specs[0].platform, noise=specs[0].noise,
                    seed=specs[0].seed)
@@ -809,7 +654,7 @@ class Machine:
         with maybe_span("machine.run_batch_multi", problems=len(specs),
                         accelerated=accelerate) as span:
             results, solve_stats = host._run_batch(
-                pairs, None, accelerate, warm_cache,
+                pairs, None, accelerate,
                 platforms=[spec.platform for spec in specs],
                 noises=[float(spec.noise) for spec in specs],
                 seeds=[int(spec.seed) for spec in specs])
@@ -919,41 +764,6 @@ class Machine:
             "dram_escalation": np.ones(problem.size),
             "slow_escalation": np.ones(problem.size),
         }
-
-    def _apply_warm_seeds(self, problem: _BatchProblem,
-                          state: Dict[str, np.ndarray],
-                          warm_cache: WarmStartCache) -> int:
-        seeded = 0
-        for i in range(problem.size):
-            vector = warm_cache.seed(
-                problem.workloads[i], problem.placements[i],
-                problem.platforms[i].name, problem.noises[i],
-                problem.seeds[i], float(problem.x_req[i]))
-            if vector is None:
-                continue
-            for name, value in zip(_STATE_NAMES, vector):
-                state[name][i] = value
-            seeded += 1
-        return seeded
-
-    def _record_warm_points(self, problem: _BatchProblem,
-                            solution: _BatchSolution,
-                            warm_cache: WarmStartCache) -> None:
-        for i in range(problem.size):
-            if not bool(solution.converged[i]):
-                continue
-            vector: StateVector = (
-                float(solution.dram_latency_ns[i]),
-                float(solution.slow_latency_ns[i]),
-                float(solution.dram_rfo_ns[i]),
-                float(solution.slow_rfo_ns[i]),
-                float(solution.dram_escalation[i]),
-                float(solution.slow_escalation[i]),
-            )
-            warm_cache.record(
-                problem.workloads[i], problem.placements[i],
-                problem.platforms[i].name, problem.noises[i],
-                problem.seeds[i], float(problem.x_req[i]), vector)
 
     def _evaluate_outer(self, problem: _BatchProblem,
                         dram_latency_ns, slow_latency_ns,

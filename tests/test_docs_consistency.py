@@ -105,13 +105,25 @@ class TestRuntimeDoc:
 class TestSolverDoc:
     def test_exists_and_covers_the_contract(self):
         solver = read("docs/SOLVER.md")
-        for term in ("run_batch", "WarmStartCache",
+        for term in ("run_batch",
                      "ACCELERATED_RELATIVE_TOLERANCE", "bit-identical",
                      "Anderson", "MIN_BATCH_GROUP", "replay_resolves",
                      "nonconverged_results", "run_colocated",
                      "run_colocated_groups", "pack-once",
                      "CACHE_SCHEMA_VERSION"):
             assert term in solver, f"{term!r} missing from SOLVER.md"
+
+    def test_warm_start_cache_is_named_nowhere(self):
+        # The cache made an accelerated answer depend on what was
+        # solved before it; no doc or module may describe it as live.
+        paths = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+                 *sorted((ROOT / "src").rglob("*.py"))]
+        for path in paths:
+            text = path.read_text()
+            for term in ("WarmStartCache", "warm_cache", "warmstore",
+                         "warm-info", "warm-clear"):
+                assert term not in text, (
+                    f"{path.relative_to(ROOT)} names {term!r}")
 
     def test_documents_the_real_tolerance(self):
         from repro.uarch.machine import ACCELERATED_RELATIVE_TOLERANCE

@@ -22,7 +22,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import (TRACE_SCHEMA, Tracer, active_tracer,
-                       chrome_trace_dict, jsonl_lines, maybe_span,
+                       chrome_trace_dict, maybe_span,
                        render_report, trace_session, write_chrome_trace,
                        write_jsonl)
 from repro.runtime.telemetry import Telemetry
@@ -345,10 +345,9 @@ class TestBench:
         assert [case["name"] for case in result["benches"]] == [
             "machine_simulate", "store_roundtrip", "executor_cold",
             "executor_warm", "suite_slice", "solver_sweep_loop",
-            "solver_sweep_batch", "solver_sweep_warm",
+            "solver_sweep_batch",
             "solver_suite_loop", "solver_suite_batch",
             "suite_groups", "suite_onebatch", "suite_accel",
-            "warm_persist_cold",
             "lint_cold", "lint_warm", "fleet_pairwise_loop",
             "fleet_shard", "fleet_tournament"]
         for case in result["benches"]:
@@ -365,10 +364,6 @@ class TestBench:
         # (BENCH_runtime.json) pins the headline >=5x / >=3x targets.
         assert solver["sweep_speedup"] > 1.0
         assert solver["suite_speedup"] > 1.0
-        assert solver["sweep_warm_speedup"] > 1.0
-        # Warm starts converge in fewer outer iterations than cold.
-        assert solver["sweep_warm_outer_iterations"] < \
-            solver["sweep_outer_iterations"]
 
     def test_population_section(self, payload):
         result, _ = payload
@@ -380,10 +375,6 @@ class TestBench:
         # baseline pins the headline >=5x target.
         assert population["onebatch_speedup"] > 1.0
         assert population["onebatch_replay_identical"] is True
-        # The cold-process warm start found its persisted points
-        # (hit rate > 0).
-        assert population["warm_cold_points_loaded"] > 0
-        assert population["warm_cold_seeds_used"] > 0
         assert population["nonconverged"] == 0
 
     def test_lint_section(self, payload):
